@@ -22,8 +22,10 @@ from .graph import Multigraph, c4xcn, cartesian_product, cycle, laplacian, parse
 from .seq import (
     SeqKind,
     ValuationPrediction,
+    derived_prefix,
     derived_seq,
     observed_valuation,
+    parity_split,
     predicted_valuation,
     u_prefix,
     u_seq,
@@ -69,6 +71,7 @@ __all__ = [
     "closed_form_raw_factors",
     "coeffs",
     "cycle",
+    "derived_prefix",
     "derived_seq",
     "det_bareiss",
     "determinantal_divisor",
@@ -80,6 +83,7 @@ __all__ = [
     "laplacian",
     "observed_valuation",
     "parse_edge_list",
+    "parity_split",
     "parse_matrix",
     "predicted_valuation",
     "relations_matrix",

@@ -25,8 +25,6 @@ import concurrent.futures
 import json
 import sys
 import time
-from dataclasses import dataclass
-from typing import Optional
 
 from .critgroup import (
     closed_form_group,
@@ -37,57 +35,36 @@ from .critgroup import (
 )
 from .exactla import parse_matrix, snf
 from .graph import c4xcn, parse_edge_list
-from .seq import SeqKind, derived_seq, observed_valuation, predicted_valuation, u_prefix, v_prefix
+from .seq import SeqKind, derived_prefix, observed_valuation, predicted_valuation, u_prefix, v_prefix
 from .treecount import tree_count_closed, tree_count_matrix, trig_product_check
 
 _MIN_N = 3
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: one command plus its inputs and output options."""
-
-    command: str
-    n: Optional[int] = None
-    n_range: Optional[tuple[int, int]] = None
-    input_path: Optional[str] = None
-    json_output: bool = False
-    tolerance: float = 1e-9
-    parallelism: int = 1
-
-
-@dataclass
-class VerifySummary:
-    """Sweep outcome: per-n pass/fail in n order."""
-
-    n_range: tuple[int, int]
-    per_n: list[tuple[int, bool, str]]
-    first_failure: Optional[int]
-    elapsed: float
+# Largest vertex count ``graph-group`` accepts.  The full-Laplacian route
+# builds a dense |V| x |V| matrix and runs a dense SNF on it, so the cap
+# bounds memory (10^6 entries at the cap) before anything is allocated.
+MAX_GRAPH_VERTICES = 1000
 
 
 class _UsageError(Exception):
     pass
 
 
-def _emit(payload: dict, cfg: RunConfig, text_lines: list[str]) -> None:
-    if cfg.json_output:
+def _emit(payload: dict, args: argparse.Namespace, text_lines: list[str]) -> None:
+    if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         for line in text_lines:
             print(line)
 
 
-def _group_payload(cfg: RunConfig, group, extra: Optional[dict] = None) -> tuple[dict, list[str]]:
+def _emit_group(args: argparse.Namespace, group, **fields: str) -> int:
     payload = {
-        "command": cfg.command,
+        "command": args.command,
         "invariant_factors": [str(f) for f in group.invariant_factors],
         "order": str(group.order),
+        **fields,
     }
-    if cfg.n is not None:
-        payload["n"] = str(cfg.n)
-    if extra:
-        payload.update(extra)
     if group.invariant_factors:
         lines = [
             "invariant factors: " + " ".join(str(f) for f in group.invariant_factors),
@@ -95,36 +72,34 @@ def _group_payload(cfg: RunConfig, group, extra: Optional[dict] = None) -> tuple
         ]
     else:
         lines = ["trivial group", "order: 1"]
-    return payload, lines
-
-
-def _require_n(cfg: RunConfig) -> int:
-    assert cfg.n is not None
-    if cfg.n < _MIN_N:
-        raise _UsageError(f"n must be >= {_MIN_N}, got {cfg.n}")
-    return cfg.n
-
-
-def _cmd_group(cfg: RunConfig, method: str) -> int:
-    n = _require_n(cfg)
-    if method == "closed":
-        group = closed_form_group(n)
-    elif method == "relations":
-        group = group_via_relations(n)
-    else:
-        group = group_of_graph(c4xcn(n))
-    payload, lines = _group_payload(cfg, group, {"method": method})
-    _emit(payload, cfg, lines)
+    _emit(payload, args, lines)
     return 0
 
 
-def _cmd_treecount(cfg: RunConfig, check: Optional[str]) -> int:
-    n = _require_n(cfg)
+def _require_n(n: int) -> int:
+    if n < _MIN_N:
+        raise _UsageError(f"n must be >= {_MIN_N}, got {n}")
+    return n
+
+
+def _cmd_group(args: argparse.Namespace) -> int:
+    n = _require_n(args.n)
+    if args.method == "closed":
+        group = closed_form_group(n)
+    elif args.method == "relations":
+        group = group_via_relations(n)
+    else:
+        group = group_of_graph(c4xcn(n))
+    return _emit_group(args, group, n=str(n), method=args.method)
+
+
+def _cmd_treecount(args: argparse.Namespace) -> int:
+    n = _require_n(args.n)
     count = tree_count_closed(n)
     checks: list[dict] = []
     lines = [f"spanning trees: {count}"]
     status = 0
-    if check in ("matrix", "all"):
+    if args.check in ("matrix", "all"):
         by_matrix = tree_count_matrix(c4xcn(n))
         ok = by_matrix == count
         checks.append({
@@ -134,8 +109,8 @@ def _cmd_treecount(cfg: RunConfig, check: Optional[str]) -> int:
         })
         lines.append(f"matrix-tree check: {'ok' if ok else 'MISMATCH'} ({by_matrix})")
         status |= 0 if ok else 1
-    if check in ("trig", "all"):
-        report = trig_product_check(n, cfg.tolerance)
+    if args.check in ("trig", "all"):
+        report = trig_product_check(n, args.tolerance)
         ok = bool(report.trig_passed)
         checks.append({
             "name": "trig-product",
@@ -144,17 +119,18 @@ def _cmd_treecount(cfg: RunConfig, check: Optional[str]) -> int:
         })
         lines.append(
             f"eigenvalue-product check: {'ok' if ok else 'FAIL'} "
-            f"(residual {report.trig_log_residual:.3e}, tolerance {cfg.tolerance:g})"
+            f"(residual {report.trig_log_residual:.3e}, tolerance {args.tolerance:g})"
         )
         status |= 0 if ok else 1
     payload = {"command": "treecount", "n": str(n), "count": str(count)}
     if checks:
         payload["checks"] = checks
-    _emit(payload, cfg, lines)
+    _emit(payload, args, lines)
     return status
 
 
-def _cmd_seq(cfg: RunConfig, kind: str, upto: int, m: Optional[int]) -> int:
+def _cmd_seq(args: argparse.Namespace) -> int:
+    kind, upto, m = args.kind, args.upto, args.m
     if upto < 0:
         raise _UsageError(f"--upto must be >= 0, got {upto}")
     if kind in ("u", "v"):
@@ -164,8 +140,7 @@ def _cmd_seq(cfg: RunConfig, kind: str, upto: int, m: Optional[int]) -> int:
     else:
         if m is not None:
             raise _UsageError("--m only applies to kinds 'u' and 'v'")
-        sk = SeqKind(kind)
-        values = [derived_seq(sk, i) for i in range(upto + 1)]
+        values = derived_prefix(SeqKind(kind), upto + 1)
     payload = {
         "command": "seq",
         "kind": kind,
@@ -175,13 +150,15 @@ def _cmd_seq(cfg: RunConfig, kind: str, upto: int, m: Optional[int]) -> int:
     if m is not None:
         payload["m"] = str(m)
     lines = [f"{i} {v}" for i, v in enumerate(values)]
-    _emit(payload, cfg, lines)
+    _emit(payload, args, lines)
     return 0
 
 
-def _cmd_valuations(cfg: RunConfig, upto: int) -> int:
+def _cmd_valuations(args: argparse.Namespace) -> int:
+    upto = args.upto
     if upto < 2:
         raise _UsageError(f"--upto must be >= 2, got {upto}")
+    tables = {kind: derived_prefix(kind, upto + 1) for kind in (SeqKind.E, SeqKind.F)}
     families = [
         ("T2(e)", SeqKind.E, 2),
         ("T2(f)", SeqKind.F, 2),
@@ -195,7 +172,7 @@ def _cmd_valuations(cfg: RunConfig, upto: int) -> int:
         first_bad = None
         for n in range(2, upto + 1):
             predicted = predicted_valuation(kind, prime, n).predicted_exponent
-            observed = observed_valuation(derived_seq(kind, n), prime)
+            observed = observed_valuation(tables[kind][n], prime)
             if predicted != observed:
                 first_bad = (n, predicted, observed)
                 break
@@ -209,11 +186,12 @@ def _cmd_valuations(cfg: RunConfig, upto: int) -> int:
         lines.append(f"{label}: {'ok' if ok else 'FAIL'} ({detail})")
         status |= 0 if ok else 1
     payload = {"command": "valuations", "upto": str(upto), "checks": checks}
-    _emit(payload, cfg, lines)
+    _emit(payload, args, lines)
     return status
 
 
-def _cmd_subgroup(cfg: RunConfig, n1: int, n2: int) -> int:
+def _cmd_subgroup(args: argparse.Namespace) -> int:
+    n1, n2 = args.n1, args.n2
     if n1 < _MIN_N or n2 < _MIN_N:
         raise _UsageError(f"both n values must be >= {_MIN_N}")
     ok = subgroup_check(n1, n2)
@@ -231,7 +209,7 @@ def _cmd_subgroup(cfg: RunConfig, n1: int, n2: int) -> int:
         f"K(C4 x C{n2}) = {g2}",
         f"factorwise subgroup: {'yes' if ok else 'no'}",
     ]
-    _emit(payload, cfg, lines)
+    _emit(payload, args, lines)
     return 0 if ok else 1
 
 
@@ -243,25 +221,24 @@ def _read_file(path: str) -> str:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _cmd_snf(cfg: RunConfig) -> int:
-    assert cfg.input_path is not None
-    matrix = parse_matrix(_read_file(cfg.input_path))
-    result = snf(matrix)
+def _cmd_snf(args: argparse.Namespace) -> int:
+    result = snf(parse_matrix(_read_file(args.matrix)))
     payload = {
         "command": "snf",
         "diagonal": [str(d) for d in result.diagonal],
     }
-    _emit(payload, cfg, ["diagonal: " + " ".join(str(d) for d in result.diagonal)])
+    _emit(payload, args, ["diagonal: " + " ".join(str(d) for d in result.diagonal)])
     return 0
 
 
-def _cmd_graph_group(cfg: RunConfig) -> int:
-    assert cfg.input_path is not None
-    graph = parse_edge_list(_read_file(cfg.input_path))
-    group = group_of_graph(graph)
-    payload, lines = _group_payload(cfg, group)
-    _emit(payload, cfg, lines)
-    return 0
+def _cmd_graph_group(args: argparse.Namespace) -> int:
+    graph = parse_edge_list(_read_file(args.edges))
+    if graph.vertex_count > MAX_GRAPH_VERTICES:
+        raise _UsageError(
+            f"graph has {graph.vertex_count} vertices; graph-group handles at most "
+            f"{MAX_GRAPH_VERTICES} (dense Laplacian)"
+        )
+    return _emit_group(args, group_of_graph(graph))
 
 
 def _verify_single(n: int, pipeline: bool) -> tuple[int, bool, str]:
@@ -285,41 +262,37 @@ def _verify_single(n: int, pipeline: bool) -> tuple[int, bool, str]:
     return n, True, detail
 
 
-def _cmd_verify(cfg: RunConfig, pipeline: bool) -> int:
-    assert cfg.n_range is not None
-    lo, hi = cfg.n_range
+def _cmd_verify(args: argparse.Namespace) -> int:
+    workers = args.parallelism
+    if workers < 0:
+        raise _UsageError(f"--parallelism must be >= 0, got {workers}")
+    lo, hi = _parse_range(args.range)
     ns = list(range(lo, hi + 1))
     start = time.monotonic()
-    workers = cfg.parallelism
     if workers == 1 or len(ns) == 1:
-        results = [_verify_single(n, pipeline) for n in ns]
+        results = [_verify_single(n, args.pipeline) for n in ns]
     else:
         max_workers = workers if workers > 0 else None
         with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(_verify_single, ns, [pipeline] * len(ns)))
+            results = list(pool.map(_verify_single, ns, [args.pipeline] * len(ns)))
     results.sort(key=lambda item: item[0])
-    summary = VerifySummary(
-        n_range=(lo, hi),
-        per_n=results,
-        first_failure=next((n for n, ok, _ in results if not ok), None),
-        elapsed=time.monotonic() - start,
-    )
+    elapsed = time.monotonic() - start
     payload = {
         "command": "verify",
         "range": f"{lo}..{hi}",
         "checks": [
             {"name": f"n={n}", "pass": ok, "detail": detail}
-            for n, ok, detail in summary.per_n
+            for n, ok, detail in results
         ],
     }
-    lines = [f"n={n} {'ok' if ok else 'FAIL'} ({detail})" for n, ok, detail in summary.per_n]
-    _emit(payload, cfg, lines)
-    passed = sum(1 for _, ok, _ in summary.per_n if ok)
+    lines = [f"n={n} {'ok' if ok else 'FAIL'} ({detail})" for n, ok, detail in results]
+    _emit(payload, args, lines)
+    passed = sum(1 for _, ok, _ in results if ok)
     print(
-        f"verified {lo}..{hi}: {passed}/{len(ns)} ok in {summary.elapsed:.2f}s",
+        f"verified {lo}..{hi}: {passed}/{len(ns)} ok in {elapsed:.2f}s",
         file=sys.stderr,
     )
-    return 0 if summary.first_failure is None else 1
+    return 0 if passed == len(ns) else 1
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -345,40 +318,48 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("group", help="critical group of C4 x Cn")
+    sp.set_defaults(handler=_cmd_group)
     sp.add_argument("n", type=int)
     sp.add_argument("--method", choices=("closed", "relations", "snf"), default="closed")
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("treecount", help="spanning-tree count of C4 x Cn")
+    sp.set_defaults(handler=_cmd_treecount)
     sp.add_argument("n", type=int)
     sp.add_argument("--check", choices=("matrix", "trig", "all"))
     sp.add_argument("--tolerance", type=float, default=1e-9)
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("seq", help="print a sequence table")
+    sp.set_defaults(handler=_cmd_seq)
     sp.add_argument("kind", choices=("e", "f", "h", "g", "u", "v"))
     sp.add_argument("--upto", type=int, required=True)
     sp.add_argument("--m", type=int)
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("valuations", help="predicted vs observed 2-/3-adic valuations")
+    sp.set_defaults(handler=_cmd_valuations)
     sp.add_argument("--upto", type=int, required=True)
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("subgroup", help="factorwise subgroup test")
+    sp.set_defaults(handler=_cmd_subgroup)
     sp.add_argument("n1", type=int)
     sp.add_argument("n2", type=int)
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("snf", help="Smith normal form of a matrix file")
+    sp.set_defaults(handler=_cmd_snf)
     sp.add_argument("--matrix", required=True, metavar="FILE")
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("graph-group", help="critical group of an edge-list graph")
+    sp.set_defaults(handler=_cmd_graph_group)
     sp.add_argument("--edges", required=True, metavar="FILE")
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("verify", help="three-way agreement sweep over a range of n")
+    sp.set_defaults(handler=_cmd_verify)
     sp.add_argument("--range", required=True, metavar="A..B")
     sp.add_argument("--pipeline", action="store_true")
     sp.add_argument("--parallelism", type=int, default=1,
@@ -396,35 +377,7 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
 
     try:
-        if args.command == "group":
-            cfg = RunConfig("group", n=args.n, json_output=args.json)
-            return _cmd_group(cfg, args.method)
-        if args.command == "treecount":
-            cfg = RunConfig("treecount", n=args.n, json_output=args.json,
-                            tolerance=args.tolerance)
-            return _cmd_treecount(cfg, args.check)
-        if args.command == "seq":
-            cfg = RunConfig("seq", json_output=args.json)
-            return _cmd_seq(cfg, args.kind, args.upto, args.m)
-        if args.command == "valuations":
-            cfg = RunConfig("valuations", json_output=args.json)
-            return _cmd_valuations(cfg, args.upto)
-        if args.command == "subgroup":
-            cfg = RunConfig("subgroup", json_output=args.json)
-            return _cmd_subgroup(cfg, args.n1, args.n2)
-        if args.command == "snf":
-            cfg = RunConfig("snf", input_path=args.matrix, json_output=args.json)
-            return _cmd_snf(cfg)
-        if args.command == "graph-group":
-            cfg = RunConfig("graph-group", input_path=args.edges, json_output=args.json)
-            return _cmd_graph_group(cfg)
-        if args.command == "verify":
-            if args.parallelism < 0:
-                raise _UsageError(f"--parallelism must be >= 0, got {args.parallelism}")
-            cfg = RunConfig("verify", n_range=_parse_range(args.range),
-                            json_output=args.json, parallelism=args.parallelism)
-            return _cmd_verify(cfg, args.pipeline)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return args.handler(args)
     except (_UsageError, ValueError, ArithmeticError) as exc:
         print(f"critgraph: error: {exc}", file=sys.stderr)
         return 2

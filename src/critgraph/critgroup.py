@@ -29,7 +29,7 @@ from .exactla import (
     snf,
 )
 from .graph import Multigraph, laplacian
-from .seq import SeqKind, derived_seq, u_seq
+from .seq import parity_split, u_seq
 
 
 @dataclass(frozen=True)
@@ -182,62 +182,36 @@ def group_via_relations(n: int) -> AbelianGroup:
 def closed_form_raw_factors(n: int) -> tuple[int, ...]:
     """The seven cyclic orders of K(C4 x Cn) before canonicalization.
 
-    Three cases.  Odd n = 2s+1 uses h = h_s, g = g_s:
+    One tuple in k, x, y and five scales c3..c7 that depend on the case:
 
-        ( (n,h,g), (h,g), (n,h)(h,g)/(n,h,g), h,
-          h(nh,ng,hg)/((n,h)(h,g)), hg/(h,g), 4nhg/(nh,ng,hg) )
+        ( (k,x,y), (x,y), c3 (k,x)(x,y)/(k,x,y), c4 x,
+          c5 x(kx,ky,xy)/((k,x)(x,y)), c6 xy/(x,y), c7 kxy/(kx,ky,xy) )
 
-    Even n = 2s uses e = e_s, f = f_s; for odd s:
-
-        ( (s,e,f), (e,f), (s,e)(e,f)/(s,e,f), e,
-          4e(se,sf,ef)/((s,e)(e,f)), 12ef/(e,f), 48sef/(se,sf,ef) )
-
-    and for even s:
-
-        ( (s,e,f), (e,f), 4(s,e)(e,f)/(s,e,f), 6e,
-          6e(se,sf,ef)/((s,e)(e,f)), 2ef/(e,f), 8sef/(se,sf,ef) )
+        case              k   x    y     c3  c4  c5  c6  c7
+        n = 2s+1          n   h_s  g_s    1   1   1   1   4
+        n = 2s, s odd     s   e_s  f_s    1   1   4  12  48
+        n = 2s, s even    s   e_s  f_s    4   6   6   2   8
 
     All divisions are checked exact at runtime.
     """
     if n < 3:
         raise ValueError(f"C4 x Cn needs n >= 3, got {n}")
     gcd = math.gcd
+    s, x, y = parity_split(n)
     if n % 2:
-        s = (n - 1) // 2
-        h = derived_seq(SeqKind.H, s)
-        g = derived_seq(SeqKind.G, s)
-        triple = gcd(n * h, n * g, h * g)
-        return (
-            gcd(n, h, g),
-            gcd(h, g),
-            _exact_div(gcd(n, h) * gcd(h, g), gcd(n, h, g)),
-            h,
-            _exact_div(h * triple, gcd(n, h) * gcd(h, g)),
-            _exact_div(h * g, gcd(h, g)),
-            _exact_div(4 * n * h * g, triple),
-        )
-    s = n // 2
-    e = derived_seq(SeqKind.E, s)
-    f = derived_seq(SeqKind.F, s)
-    triple = gcd(s * e, s * f, e * f)
-    if s % 2:
-        return (
-            gcd(s, e, f),
-            gcd(e, f),
-            _exact_div(gcd(s, e) * gcd(e, f), gcd(s, e, f)),
-            e,
-            _exact_div(4 * e * triple, gcd(s, e) * gcd(e, f)),
-            _exact_div(12 * e * f, gcd(e, f)),
-            _exact_div(48 * s * e * f, triple),
-        )
+        k, (c3, c4, c5, c6, c7) = n, (1, 1, 1, 1, 4)
+    else:
+        k, (c3, c4, c5, c6, c7) = s, (1, 1, 4, 12, 48) if s % 2 else (4, 6, 6, 2, 8)
+    kx, xy, kxy = gcd(k, x), gcd(x, y), gcd(k, x, y)
+    triple = gcd(k * x, k * y, x * y)
     return (
-        gcd(s, e, f),
-        gcd(e, f),
-        _exact_div(4 * gcd(s, e) * gcd(e, f), gcd(s, e, f)),
-        6 * e,
-        _exact_div(6 * e * triple, gcd(s, e) * gcd(e, f)),
-        _exact_div(2 * e * f, gcd(e, f)),
-        _exact_div(8 * s * e * f, triple),
+        kxy,
+        xy,
+        _exact_div(c3 * kx * xy, kxy),
+        c4 * x,
+        _exact_div(c5 * x * triple, kx * xy),
+        _exact_div(c6 * x * y, xy),
+        _exact_div(c7 * k * x * y, triple),
     )
 
 
@@ -443,11 +417,8 @@ def _block_diag(upper: list[list[int]], lower: list[list[int]]) -> IntegerMatrix
     return IntegerMatrix(rows)
 
 
-def _odd_split_template(n: int) -> IntegerMatrix:
+def _odd_split_template(n: int, h: int, g: int) -> IntegerMatrix:
     """Block-diagonal 3+4 target of the odd-n branch, in h = h_s, g = g_s."""
-    s = (n - 1) // 2
-    h = derived_seq(SeqKind.H, s)
-    g = derived_seq(SeqKind.G, s)
     x = [[0, 2 * h, 0], [h, 0, 2 * h], [g, h, 0]]
     y = [
         [n, 0, 0, 0],
@@ -458,12 +429,9 @@ def _odd_split_template(n: int) -> IntegerMatrix:
     return _block_diag(x, y)
 
 
-def _even_stage_template(n: int) -> IntegerMatrix:
+def _even_stage_template(s: int, e: int, f: int) -> IntegerMatrix:
     """Lower-triangular-shaped 7x7 target of the even-n branch, in
     e = e_s, f = f_s, s = n/2."""
-    s = n // 2
-    e = derived_seq(SeqKind.E, s)
-    f = derived_seq(SeqKind.F, s)
     return IntegerMatrix([
         [2 * s, 0, 0, 0, 0, 0, 0],
         [0, 2 * e, 0, 0, 0, 0, 0],
@@ -475,11 +443,8 @@ def _even_stage_template(n: int) -> IntegerMatrix:
     ])
 
 
-def _even_split_template(n: int) -> IntegerMatrix:
+def _even_split_template(s: int, e: int, f: int) -> IntegerMatrix:
     """Block-diagonal 4+3 target after rescaling, same parameters."""
-    s = n // 2
-    e = derived_seq(SeqKind.E, s)
-    f = derived_seq(SeqKind.F, s)
     upper = [
         [s, 0, 0, 0],
         [_exact_div(s + f, 2), f, 0, 0],
@@ -548,12 +513,12 @@ def verify_reduction_pipeline(n: int) -> PipelineReport:
         else "stage-1 product differs from the folded-sequence template",
     )
 
-    s = (n - 1) // 2 if n % 2 else n // 2
+    s, x, y = parity_split(n)
     shifted = (_U ** (s + 1)) @ m2
 
     if n % 2:
         product = _L2 @ shifted @ _R2
-        target = _odd_split_template(n)
+        target = _odd_split_template(n, x, y)
         ok = product == target
         record(
             "odd-block-split",
@@ -564,7 +529,7 @@ def verify_reduction_pipeline(n: int) -> PipelineReport:
         final = product
     else:
         stage = _L3 @ shifted @ _R3
-        target = _even_stage_template(n)
+        target = _even_stage_template(s, x, y)
         ok = stage == target
         record(
             "even-stage-template",
@@ -577,7 +542,7 @@ def verify_reduction_pipeline(n: int) -> PipelineReport:
             record("even-descale-exact", True,
                    "row/column rescaling divides out exactly")
             product = _L4 @ descaled @ _R4
-            target2 = _even_split_template(n)
+            target2 = _even_split_template(s, x, y)
             ok = product == target2
             record(
                 "even-block-split",

@@ -101,8 +101,13 @@ class IntegerMatrix:
         if exponent < 0:
             raise ValueError("negative matrix powers are not supported")
         result = IntegerMatrix.identity(self.row_count)
-        for _ in range(exponent):
-            result = result @ self
+        base = self
+        while exponent:
+            if exponent & 1:
+                result = result @ base
+            exponent >>= 1
+            if exponent:
+                base = base @ base
         return result
 
     def __neg__(self) -> "IntegerMatrix":

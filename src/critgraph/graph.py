@@ -147,7 +147,12 @@ def parse_edge_list(text: str) -> Multigraph:
                 raise ValueError(f"line {lineno}: header must be 'vertices N'")
             if vertex_count is not None:
                 raise ValueError(f"line {lineno}: duplicate 'vertices' header")
-            vertex_count = int(parts[1])
+            try:
+                vertex_count = int(parts[1])
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: non-integer vertex count {parts[1]!r}") from exc
+            if vertex_count < 1:
+                raise ValueError(f"line {lineno}: vertex count must be >= 1, got {vertex_count}")
             continue
         if len(parts) not in (2, 3):
             raise ValueError(f"line {lineno}: expected 'u v [multiplicity]', got {body!r}")

@@ -9,6 +9,11 @@ The four derived sequences used by the C4 x Cn critical-group formulas are
 
     e_n = u_n(2),  f_n = u_n(4),  h_n = e_n + e_{n+1},  g_n = f_n + f_{n+1}.
 
+u_n(m) is the Lucas sequence U_n(P = m+2, Q = 1) and v_n(m) its companion
+V_n.  Two mechanisms compute every term: single terms come from one
+fast-doubling pass over the bits of the index (O(log n) big-integer
+products), and tables from one walk of the recurrence.
+
 Everything here is exact; no floating point, no closed-form surds.  The
 module also predicts the exact 2-adic and 3-adic valuations of e_n and
 f_n from the factorization of the index alone, which is what makes the
@@ -34,6 +39,11 @@ class SeqKind(Enum):
     def m(self) -> int:
         return 2 if self in (SeqKind.E, SeqKind.H) else 4
 
+    @property
+    def summed(self) -> bool:
+        """True for h and g, the sums of two consecutive u terms."""
+        return self in (SeqKind.H, SeqKind.G)
+
 
 @dataclass(frozen=True)
 class ValuationPrediction:
@@ -51,69 +61,92 @@ def _check_m(m: int) -> None:
         raise ValueError(f"recurrence parameter m must be >= 1, got {m}")
 
 
+def _check_index(p: int) -> None:
+    if p < 0:
+        raise ValueError(f"index must be >= 0, got {p}")
+
+
+def _check_kind(kind: SeqKind) -> None:
+    if not isinstance(kind, SeqKind):
+        raise ValueError(f"unknown sequence kind: {kind!r}")
+
+
+def _u_pair(m: int, p: int) -> tuple[int, int]:
+    """(u_p(m), u_{p+1}(m)) by fast doubling over the bits of p, with
+    P = m + 2:  u_2k = u_k (2 u_{k+1} - P u_k),  u_{2k+1} = u_{k+1}^2 - u_k^2."""
+    big_p = m + 2
+    a, b = 0, 1
+    for bit in bin(p)[2:]:
+        a, b = a * (2 * b - big_p * a), b * b - a * a
+        if bit == "1":
+            a, b = b, big_p * b - a
+    return a, b
+
+
+def _walk(m: int, a: int, b: int, count: int) -> list[int]:
+    """The first ``count`` terms of the recurrence started at (a, b)."""
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    out: list[int] = []
+    for _ in range(count):
+        out.append(a)
+        a, b = b, (m + 2) * b - a
+    return out
+
+
 def u_seq(m: int, p: int) -> int:
     """p-th term of the first-kind sequence: u_0=0, u_1=1,
     u_p = (m+2)u_{p-1} - u_{p-2}."""
     _check_m(m)
-    if p < 0:
-        raise ValueError(f"index must be >= 0, got {p}")
-    a, b = 0, 1
-    for _ in range(p):
-        a, b = b, (m + 2) * b - a
-    return a
+    _check_index(p)
+    return _u_pair(m, p)[0]
 
 
 def v_seq(m: int, p: int) -> int:
     """p-th term of the second-kind sequence: v_0=2, v_1=m+2, same
-    recurrence as :func:`u_seq`."""
+    recurrence as :func:`u_seq`; v_p = 2 u_{p+1} - (m+2) u_p."""
     _check_m(m)
-    if p < 0:
-        raise ValueError(f"index must be >= 0, got {p}")
-    a, b = 2, m + 2
-    for _ in range(p):
-        a, b = b, (m + 2) * b - a
-    return a
+    _check_index(p)
+    u, u_next = _u_pair(m, p)
+    return 2 * u_next - (m + 2) * u
 
 
 def u_prefix(m: int, count: int) -> list[int]:
     """[u_0(m), ..., u_{count-1}(m)] in one pass."""
     _check_m(m)
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    out: list[int] = []
-    a, b = 0, 1
-    for _ in range(count):
-        out.append(a)
-        a, b = b, (m + 2) * b - a
-    return out
+    return _walk(m, 0, 1, count)
 
 
 def v_prefix(m: int, count: int) -> list[int]:
     """[v_0(m), ..., v_{count-1}(m)] in one pass."""
     _check_m(m)
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    out: list[int] = []
-    a, b = 2, m + 2
-    for _ in range(count):
-        out.append(a)
-        a, b = b, (m + 2) * b - a
-    return out
+    return _walk(m, 2, m + 2, count)
 
 
 def derived_seq(kind: SeqKind, n: int) -> int:
     """e_n, f_n, h_n, or g_n."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    if kind is SeqKind.E:
-        return u_seq(2, n)
-    if kind is SeqKind.F:
-        return u_seq(4, n)
-    if kind is SeqKind.H:
-        return u_seq(2, n) + u_seq(2, n + 1)
-    if kind is SeqKind.G:
-        return u_seq(4, n) + u_seq(4, n + 1)
-    raise ValueError(f"unknown sequence kind: {kind!r}")
+    _check_kind(kind)
+    _check_index(n)
+    u, u_next = _u_pair(kind.m, n)
+    return u + u_next if kind.summed else u
+
+
+def derived_prefix(kind: SeqKind, count: int) -> list[int]:
+    """[x_0, ..., x_{count-1}] for x = e, f, h or g, in one pass.  h and g
+    obey the recurrence of e and f, from x_0 = u_0 + u_1 = 1 and
+    x_1 = u_1 + u_2 = m + 3."""
+    _check_kind(kind)
+    start = (1, kind.m + 3) if kind.summed else (0, 1)
+    return _walk(kind.m, *start, count)
+
+
+def parity_split(n: int) -> tuple[int, int, int]:
+    """The half index and the two sequence terms of the C4 x Cn formulas:
+    (s, h_s, g_s) for odd n = 2s+1 and (s, e_s, f_s) for even n = 2s."""
+    s, odd = divmod(n, 2)
+    if odd:
+        return s, derived_seq(SeqKind.H, s), derived_seq(SeqKind.G, s)
+    return s, derived_seq(SeqKind.E, s), derived_seq(SeqKind.F, s)
 
 
 def v_partial_sum(m: int, p: int, q: int) -> int:

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from critgraph.cli import run
+from critgraph import critgroup
+from critgraph.cli import MAX_GRAPH_VERTICES, run
 
 
 def _json_out(capsys):
@@ -122,6 +123,28 @@ def test_graph_group_disconnected(tmp_path, capsys):
     path.write_text("0 1\n2 3\n")
     assert run(["graph-group", "--edges", str(path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_graph_group_bad_vertex_header(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    for header in ("vertices many", "vertices 0"):
+        path.write_text(f"{header}\n0 1\n")
+        assert run(["graph-group", "--edges", str(path)]) == 2
+        assert "error: line 1: " in capsys.readouterr().err
+
+
+def test_graph_group_rejects_graph_over_vertex_cap(tmp_path, capsys, monkeypatch):
+    # the cap is checked before the dense Laplacian is built
+    def no_laplacian(graph):
+        raise AssertionError("dense Laplacian built for an over-cap graph")
+
+    monkeypatch.setattr(critgroup, "laplacian", no_laplacian)
+    path = tmp_path / "g.txt"
+    for text in ("0 100000000\n", f"vertices {MAX_GRAPH_VERTICES + 1}\n0 1\n"):
+        path.write_text(text)
+        assert run(["graph-group", "--edges", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"at most {MAX_GRAPH_VERTICES}" in err
 
 
 def test_verify_sweep(capsys):

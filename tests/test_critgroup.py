@@ -137,6 +137,21 @@ def test_group_of_graph_examples():
     assert group_of_graph(k2) == AbelianGroup(())
 
 
+def test_group_of_graph_known_families():
+    # K(K_n) = Z_n^(n-2) and K(C_n) = Z_n (Lorenzini 1991; Biggs 1999);
+    # every tree has exactly one spanning tree, so its group is trivial
+    for n in range(3, 9):
+        complete = Multigraph(n, {(i, j): 1 for i in range(n) for j in range(i + 1, n)})
+        assert group_of_graph(complete).invariant_factors == (n,) * (n - 2), n
+    for n in range(3, 13):
+        assert group_of_graph(cycle(n)).invariant_factors == (n,), n
+    for n in range(1, 10):
+        path = Multigraph(n, {(i, i + 1): 1 for i in range(n - 1)})
+        star = Multigraph(n, {(0, i): 1 for i in range(1, n)})
+        assert group_of_graph(path) == AbelianGroup(()), n
+        assert group_of_graph(star) == AbelianGroup(()), n
+
+
 def test_group_of_graph_rejects_disconnected():
     two_edges = Multigraph(4, {(0, 1): 1, (2, 3): 1})
     with pytest.raises(ValueError):

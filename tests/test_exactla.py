@@ -62,6 +62,19 @@ def test_matrix_algebra():
         a @ IntegerMatrix([[1, 2, 3]])
 
 
+def test_matrix_power_matches_repeated_product():
+    rng = random.Random(7)
+    a = IntegerMatrix([[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)])
+    expected = IntegerMatrix.identity(4)
+    for e in range(13):
+        assert a ** e == expected, e
+        expected = expected @ a
+    with pytest.raises(ValueError):
+        a ** -1
+    with pytest.raises(ValueError):
+        IntegerMatrix([[1, 2]]) ** 2
+
+
 def test_det_bareiss_examples():
     assert det_bareiss(IntegerMatrix([[2, -1], [-1, 2]])) == 3
     for n in (1, 3, 6):

@@ -135,3 +135,9 @@ def test_parse_edge_list_errors():
         parse_edge_list("0 1 2 3\n")
     with pytest.raises(ValueError):
         parse_edge_list("-1 0\n")
+
+
+@pytest.mark.parametrize("header", ["vertices x", "vertices 2.5", "vertices 0", "vertices -3"])
+def test_parse_edge_list_bad_vertex_header_names_line(header):
+    with pytest.raises(ValueError, match=r"^line 2: "):
+        parse_edge_list(f"# comment\n{header}\n0 1\n")

@@ -2,8 +2,10 @@ import pytest
 
 from critgraph.seq import (
     SeqKind,
+    derived_prefix,
     derived_seq,
     observed_valuation,
+    parity_split,
     predicted_valuation,
     u_prefix,
     u_seq,
@@ -152,3 +154,53 @@ def test_predictions_hold_at_index_one():
     for kind in (SeqKind.E, SeqKind.F):
         for prime in (2, 3):
             assert predicted_valuation(kind, prime, 1).predicted_exponent == 0
+
+
+def _linear(m, first, second, count):
+    """Terms of x_k = (m+2) x_{k-1} - x_{k-2}, walked one step at a time."""
+    terms = [first, second]
+    while len(terms) < count:
+        terms.append((m + 2) * terms[-1] - terms[-2])
+    return terms[:count]
+
+
+def test_point_values_match_linear_recurrence():
+    for m in range(1, 7):
+        us = _linear(m, 0, 1, 601)
+        vs = _linear(m, 2, m + 2, 601)
+        for p in range(601):
+            assert u_seq(m, p) == us[p], (m, p)
+            assert v_seq(m, p) == vs[p], (m, p)
+
+
+def test_derived_values_match_linear_recurrence():
+    for kind in SeqKind:
+        us = _linear(kind.m, 0, 1, 602)
+        for n in range(601):
+            expected = us[n] + us[n + 1] if kind in (SeqKind.H, SeqKind.G) else us[n]
+            assert derived_seq(kind, n) == expected, (kind, n)
+
+
+def test_large_index_doubling_identity():
+    # u_{2p} = u_p v_p, far beyond the range of the table walks above
+    p = 10**5
+    for m in (2, 4):
+        assert u_seq(m, 2 * p) == u_seq(m, p) * v_seq(m, p)
+
+
+def test_derived_prefix_matches_point_values():
+    for kind in SeqKind:
+        for count in (0, 1, 2, 300):
+            assert derived_prefix(kind, count) == [derived_seq(kind, i) for i in range(count)]
+    with pytest.raises(ValueError):
+        derived_prefix(SeqKind.E, -1)
+    with pytest.raises(ValueError):
+        derived_prefix("e", 3)
+    with pytest.raises(ValueError):
+        derived_seq("e", 3)
+
+
+def test_parity_split():
+    assert parity_split(7) == (3, derived_seq(SeqKind.H, 3), derived_seq(SeqKind.G, 3))
+    assert parity_split(8) == (4, derived_seq(SeqKind.E, 4), derived_seq(SeqKind.F, 4))
+    assert parity_split(5) == (2, 19, 41)

@@ -81,6 +81,4 @@ def test_even_count_two_adic_valuation():
 
 def test_report_optional_fields():
     report = trig_product_check(6)
-    assert report.matrix_tree is None
-    assert report.matrix_matches is None
     assert report.trig_tolerance == 1e-9
