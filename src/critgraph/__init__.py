@@ -10,6 +10,7 @@ from .exactla import (
     IntegerMatrix,
     SnfResult,
     canonical_chain,
+    det,
     det_bareiss,
     determinantal_divisor,
     format_matrix,
@@ -73,6 +74,7 @@ __all__ = [
     "cycle",
     "derived_prefix",
     "derived_seq",
+    "det",
     "det_bareiss",
     "determinantal_divisor",
     "format_matrix",

@@ -40,9 +40,11 @@ from .treecount import tree_count_closed, tree_count_matrix, trig_product_check
 
 _MIN_N = 3
 
-# Largest vertex count ``graph-group`` accepts.  The full-Laplacian route
-# builds a dense |V| x |V| matrix and runs a dense SNF on it, so the cap
-# bounds memory (10^6 entries at the cap) before anything is allocated.
+# Largest vertex count the full-Laplacian route accepts: ``graph-group``,
+# and ``group N --method snf``, ``treecount N --check matrix|all`` and
+# ``verify --range A..B`` on the 4N-vertex C4 x CN (so N <= 250).  The route
+# builds a dense |V| x |V| matrix, so the cap bounds memory (10^6 entries
+# at the cap) before anything is allocated.
 MAX_GRAPH_VERTICES = 1000
 
 
@@ -82,6 +84,14 @@ def _require_n(n: int) -> int:
     return n
 
 
+def _require_laplacian_size(n: int) -> None:
+    if 4 * n > MAX_GRAPH_VERTICES:
+        raise _UsageError(
+            f"n = {n} needs a {4 * n}-vertex Laplacian; the full-Laplacian route handles "
+            f"at most {MAX_GRAPH_VERTICES} vertices (n <= {MAX_GRAPH_VERTICES // 4})"
+        )
+
+
 def _cmd_group(args: argparse.Namespace) -> int:
     n = _require_n(args.n)
     if args.method == "closed":
@@ -89,12 +99,15 @@ def _cmd_group(args: argparse.Namespace) -> int:
     elif args.method == "relations":
         group = group_via_relations(n)
     else:
+        _require_laplacian_size(n)
         group = group_of_graph(c4xcn(n))
     return _emit_group(args, group, n=str(n), method=args.method)
 
 
 def _cmd_treecount(args: argparse.Namespace) -> int:
     n = _require_n(args.n)
+    if args.check in ("matrix", "all"):
+        _require_laplacian_size(n)
     count = tree_count_closed(n)
     checks: list[dict] = []
     lines = [f"spanning trees: {count}"]
@@ -267,6 +280,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if workers < 0:
         raise _UsageError(f"--parallelism must be >= 0, got {workers}")
     lo, hi = _parse_range(args.range)
+    _require_laplacian_size(hi)
     ns = list(range(lo, hi + 1))
     start = time.monotonic()
     if workers == 1 or len(ns) == 1:

@@ -6,7 +6,8 @@
                   2^7 3^2 n e_{n/2}^4 f_{n/2}^2 without ever needing
                   half-integer indices);
   * matrix-tree:  exact determinant of the Laplacian with one row and
-                  column deleted (any connected multigraph);
+                  column deleted (any connected multigraph), by unit-pivot
+                  elimination and Bareiss on the core that is left;
   * eigenvalues:  the count equals 4n times the product over j of
                   (4 - 2cos(2 pi j / n))^2 (6 - 2cos(2 pi j / n)),
                   checked in log space against the exact integer.
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .exactla import det_bareiss
+from .exactla import det
 from .graph import Multigraph, laplacian
 from .seq import parity_split
 
@@ -54,7 +55,7 @@ def tree_count_matrix(g: Multigraph) -> int:
     if g.vertex_count == 1:
         return 1
     reduced = laplacian(g).delete_row_col(0, 0)
-    return det_bareiss(reduced)
+    return det(reduced)
 
 
 def _log_big(x: int) -> float:

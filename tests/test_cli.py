@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from critgraph import critgroup
+from critgraph import cli, critgroup, treecount
 from critgraph.cli import MAX_GRAPH_VERTICES, run
 
 
@@ -145,6 +145,37 @@ def test_graph_group_rejects_graph_over_vertex_cap(tmp_path, capsys, monkeypatch
         assert run(["graph-group", "--edges", str(path)]) == 2
         err = capsys.readouterr().err
         assert f"at most {MAX_GRAPH_VERTICES}" in err
+
+
+class _Built(Exception):
+    pass
+
+
+def test_laplacian_routes_reject_n_over_cap(capsys, monkeypatch):
+    # C4 x CN has 4N vertices: N <= 250 passes the cap, N = 251 exits 2
+    # before C4 x CN or its dense Laplacian is built
+    def no_build(arg):
+        raise _Built(arg)
+
+    for module, name in ((cli, "c4xcn"), (critgroup, "laplacian"), (treecount, "laplacian")):
+        monkeypatch.setattr(module, name, no_build)
+    cap = MAX_GRAPH_VERTICES // 4
+    for argv in (
+        ["group", "{}", "--method", "snf"],
+        ["treecount", "{}", "--check", "matrix"],
+        ["treecount", "{}", "--check", "all", "--json"],
+        ["verify", "--range", "3..{}"],
+        ["verify", "--range", "{}..{}", "--parallelism", "2"],
+    ):
+        assert run([a.format(cap + 1, cap + 1) for a in argv]) == 2, argv
+        err = capsys.readouterr().err
+        assert f"at most {MAX_GRAPH_VERTICES} vertices (n <= {cap})" in err, err
+        with pytest.raises(_Built):
+            run([a.format(cap, cap) for a in argv])
+        capsys.readouterr()
+    assert run(["treecount", str(cap + 1), "--check", "trig"]) == 0
+    assert run(["group", str(cap + 1), "--method", "relations"]) == 0
+    capsys.readouterr()
 
 
 def test_verify_sweep(capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from critgraph.critgroup import (
@@ -23,8 +25,9 @@ from critgraph.critgroup import (
     verify_layer_expansion,
     verify_reduction_pipeline,
 )
-from critgraph.exactla import IntegerMatrix, is_unimodular, snf
-from critgraph.graph import Multigraph, c4xcn, cycle
+from critgraph.exactla import IntegerMatrix, det_bareiss, is_unimodular, snf
+from critgraph.graph import Multigraph, c4xcn, cycle, laplacian
+from critgraph.treecount import tree_count_matrix
 
 
 # -- AbelianGroup ----------------------------------------------------------
@@ -150,6 +153,22 @@ def test_group_of_graph_known_families():
         star = Multigraph(n, {(0, i): 1 for i in range(1, n)})
         assert group_of_graph(path) == AbelianGroup(()), n
         assert group_of_graph(star) == AbelianGroup(()), n
+
+
+def test_group_of_graph_on_random_multigraphs(random_multigraph):
+    # the group does not depend on the vertex numbering, and its order is
+    # the spanning-tree count, also by dense Bareiss alone
+    rng = random.Random(4141)
+    for trial in range(12):
+        vertices = rng.randint(20, 60)
+        g = random_multigraph(rng, vertices, rng.randint(vertices // 2, 2 * vertices), 1 + trial % 3)
+        relabel = rng.sample(range(vertices), vertices)
+        h = Multigraph(vertices, {(relabel[u], relabel[v]): m
+                                  for (u, v), m in g.edge_multiplicities.items()})
+        group = group_of_graph(g)
+        assert group_of_graph(h) == group, trial
+        reduced = laplacian(g).delete_row_col(0, 0)
+        assert group.order == tree_count_matrix(g) == det_bareiss(reduced), trial
 
 
 def test_group_of_graph_rejects_disconnected():

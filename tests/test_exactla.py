@@ -5,7 +5,9 @@ import pytest
 
 from critgraph.exactla import (
     IntegerMatrix,
+    _eliminate_units,
     canonical_chain,
+    det,
     det_bareiss,
     determinantal_divisor,
     format_matrix,
@@ -222,6 +224,77 @@ def test_snf_diag_product_is_rank_divisor():
         for d in nz:
             prod *= d
         assert prod == determinantal_divisor(a, len(nz))
+
+
+def _unit_heavy_matrix(rng, rows, cols):
+    """Entries mostly 0 and +-1, with some zero rows and columns and, in
+    some draws, rows that are sums of others (rank deficiency)."""
+    m = [
+        [rng.choice((0, 0, 0, 1, -1, 1, -1, rng.randint(-9, 9))) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    if rng.random() < 0.3:
+        m[rng.randrange(rows)] = [0] * cols
+    if rng.random() < 0.3:
+        j = rng.randrange(cols)
+        for row in m:
+            row[j] = 0
+    if rows > 2 and rng.random() < 0.4:
+        i, j, k = rng.sample(range(rows), 3)
+        m[i] = [x + y for x, y in zip(m[j], m[k])]
+    return IntegerMatrix(m)
+
+
+def test_snf_prepass_matches_dense_engine():
+    rng = random.Random(2001)
+    for trial in range(400):
+        a = _unit_heavy_matrix(rng, rng.randint(1, 16), rng.randint(1, 16))
+        assert snf(a).diagonal == snf(a, want_transforms=True).diagonal, a
+
+
+def test_snf_prepass_matches_divisor_oracle():
+    rng = random.Random(2002)
+    for trial in range(300):
+        a = _unit_heavy_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+        assert snf(a).diagonal == invariant_factors_from_divisors(a), a
+    for trial in range(10):
+        a = _unit_heavy_matrix(rng, 8, 8)
+        assert snf(a).diagonal == invariant_factors_from_divisors(a), a
+
+
+def test_det_matches_bareiss():
+    rng = random.Random(2003)
+    singular = 0
+    for trial in range(400):
+        n = rng.randint(1, 12)
+        a = _unit_heavy_matrix(rng, n, n)
+        d = det(a)
+        assert d == det_bareiss(a), a
+        singular += d == 0
+    for trial in range(100):
+        # unimodular: upper unit-triangular, rows and columns shuffled
+        n = rng.randint(1, 10)
+        m = [[0] * i + [rng.choice((1, -1))] + [rng.randint(-5, 5) for _ in range(n - i - 1)]
+             for i in range(n)]
+        rng.shuffle(m)
+        cols = rng.sample(range(n), n)
+        a = IntegerMatrix([[row[j] for j in cols] for row in m])
+        assert _eliminate_units(a.to_lists())[2] == []  # no core left
+        assert det(a) == det_bareiss(a) in (1, -1), a
+    assert singular > 20
+    for x in (-3, -1, 0, 1, 7):
+        assert det(IntegerMatrix([[x]])) == x
+    with pytest.raises(ValueError):
+        det(IntegerMatrix([[1, 2]]))
+
+
+def test_unit_elimination_leaves_eight_generators():
+    # C4 x Cn needs eight generators; the +-1 pre-pass should find them
+    # rather than fall back to a large dense core
+    for n in range(3, 61):
+        units, _, core, _ = _eliminate_units(laplacian(c4xcn(n)).to_lists())
+        assert len(core) <= 8, (n, len(core))
+        assert units == 4 * n - len(core)
 
 
 def test_peak_bit_length_reported():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -28,6 +29,22 @@ def test_matrix_tree_examples():
     assert tree_count_matrix(Multigraph(2)) == 0  # two disjoint vertices
     assert tree_count_matrix(Multigraph(1)) == 1
     assert tree_count_matrix(Multigraph(2, {(0, 1): 3})) == 3
+
+
+def test_matrix_tree_zero_on_disconnected_random_multigraphs(random_multigraph):
+    # two components with their vertex numbers interleaved: no spanning tree
+    rng = random.Random(4242)
+    for trial in range(12):
+        vertices = rng.randint(20, 60)
+        split = rng.randint(1, vertices - 1)
+        a = random_multigraph(rng, split, split, 1 + trial % 3)
+        b = random_multigraph(rng, vertices - split, vertices - split, 1 + trial % 3)
+        relabel = rng.sample(range(vertices), vertices)
+        edges = {(relabel[u], relabel[v]): m for (u, v), m in a.edge_multiplicities.items()}
+        edges.update({(relabel[split + u], relabel[split + v]): m
+                      for (u, v), m in b.edge_multiplicities.items()})
+        assert tree_count_matrix(Multigraph(vertices, edges)) == 0, trial
+    assert tree_count_matrix(Multigraph(1)) == 1
 
 
 def test_closed_matches_matrix_tree():
