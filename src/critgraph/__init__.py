@@ -19,7 +19,15 @@ from .exactla import (
     parse_matrix,
     snf,
 )
-from .graph import Multigraph, c4xcn, cartesian_product, cycle, laplacian, parse_edge_list
+from .graph import (
+    Multigraph,
+    c4xcn,
+    cartesian_product,
+    cycle,
+    laplacian,
+    parse_edge_list,
+    reduced_laplacian,
+)
 from .seq import (
     SeqKind,
     ValuationPrediction,
@@ -41,6 +49,8 @@ from .critgroup import (
     closed_form_group,
     closed_form_raw_factors,
     coeffs,
+    factorwise_subgroup,
+    format_group,
     group_of_graph,
     group_via_relations,
     relations_matrix,
@@ -77,6 +87,8 @@ __all__ = [
     "det",
     "det_bareiss",
     "determinantal_divisor",
+    "factorwise_subgroup",
+    "format_group",
     "format_matrix",
     "group_of_graph",
     "group_via_relations",
@@ -88,6 +100,7 @@ __all__ = [
     "parity_split",
     "parse_matrix",
     "predicted_valuation",
+    "reduced_laplacian",
     "relations_matrix",
     "snf",
     "subgroup_check",

@@ -21,21 +21,22 @@ format in which every integer is a decimal string.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import functools
 import json
 import sys
 import time
 
 from .critgroup import (
     closed_form_group,
+    factorwise_subgroup,
+    format_group,
     group_of_graph,
     group_via_relations,
-    subgroup_check,
     verify_reduction_pipeline,
 )
 from .exactla import parse_matrix, snf
 from .graph import c4xcn, parse_edge_list
-from .seq import SeqKind, derived_prefix, observed_valuation, predicted_valuation, u_prefix, v_prefix
+from .seq import SeqKind, _valuation_rule, derived_prefix, observed_valuation, u_prefix, v_prefix
 from .treecount import tree_count_closed, tree_count_matrix, trig_product_check
 
 _MIN_N = 3
@@ -56,22 +57,23 @@ def _emit(payload: dict, args: argparse.Namespace, text_lines: list[str]) -> Non
     if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
+        out = sys.stdout
         for line in text_lines:
-            print(line)
+            out.write(line)
+            out.write("\n")
 
 
 def _emit_group(args: argparse.Namespace, group, **fields: str) -> int:
+    factors = [str(f) for f in group.invariant_factors]
+    order = str(group.order)
     payload = {
         "command": args.command,
-        "invariant_factors": [str(f) for f in group.invariant_factors],
-        "order": str(group.order),
+        "invariant_factors": factors,
+        "order": order,
         **fields,
     }
-    if group.invariant_factors:
-        lines = [
-            "invariant factors: " + " ".join(str(f) for f in group.invariant_factors),
-            f"order: {group.order}",
-        ]
+    if factors:
+        lines = ["invariant factors: " + " ".join(factors), f"order: {order}"]
     else:
         lines = ["trivial group", "order: 1"]
     _emit(payload, args, lines)
@@ -109,18 +111,20 @@ def _cmd_treecount(args: argparse.Namespace) -> int:
     if args.check in ("matrix", "all"):
         _require_laplacian_size(n)
     count = tree_count_closed(n)
+    count_text = str(count)
     checks: list[dict] = []
-    lines = [f"spanning trees: {count}"]
+    lines = [f"spanning trees: {count_text}"]
     status = 0
     if args.check in ("matrix", "all"):
         by_matrix = tree_count_matrix(c4xcn(n))
+        by_matrix_text = str(by_matrix)
         ok = by_matrix == count
         checks.append({
             "name": "matrix-tree",
             "pass": ok,
-            "detail": f"reduced-Laplacian determinant {by_matrix}",
+            "detail": f"reduced-Laplacian determinant {by_matrix_text}",
         })
-        lines.append(f"matrix-tree check: {'ok' if ok else 'MISMATCH'} ({by_matrix})")
+        lines.append(f"matrix-tree check: {'ok' if ok else 'MISMATCH'} ({by_matrix_text})")
         status |= 0 if ok else 1
     if args.check in ("trig", "all"):
         report = trig_product_check(n, args.tolerance)
@@ -135,7 +139,7 @@ def _cmd_treecount(args: argparse.Namespace) -> int:
             f"(residual {report.trig_log_residual:.3e}, tolerance {args.tolerance:g})"
         )
         status |= 0 if ok else 1
-    payload = {"command": "treecount", "n": str(n), "count": str(count)}
+    payload = {"command": "treecount", "n": str(n), "count": count_text}
     if checks:
         payload["checks"] = checks
     _emit(payload, args, lines)
@@ -154,15 +158,16 @@ def _cmd_seq(args: argparse.Namespace) -> int:
         if m is not None:
             raise _UsageError("--m only applies to kinds 'u' and 'v'")
         values = derived_prefix(SeqKind(kind), upto + 1)
+    texts = [str(v) for v in values]
     payload = {
         "command": "seq",
         "kind": kind,
         "upto": str(upto),
-        "values": [str(v) for v in values],
+        "values": texts,
     }
     if m is not None:
         payload["m"] = str(m)
-    lines = [f"{i} {v}" for i, v in enumerate(values)]
+    lines = [f"{i} {text}" for i, text in enumerate(texts)]
     _emit(payload, args, lines)
     return 0
 
@@ -171,29 +176,38 @@ def _cmd_valuations(args: argparse.Namespace) -> int:
     upto = args.upto
     if upto < 2:
         raise _UsageError(f"--upto must be >= 2, got {upto}")
-    tables = {kind: derived_prefix(kind, upto + 1) for kind in (SeqKind.E, SeqKind.F)}
+    e = derived_prefix(SeqKind.E, upto + 1)
+    f = derived_prefix(SeqKind.F, upto + 1)
     families = [
-        ("T2(e)", SeqKind.E, 2),
-        ("T2(f)", SeqKind.F, 2),
-        ("T3(e)", SeqKind.E, 3),
-        ("T3(f)", SeqKind.F, 3),
+        ("T2(e)", SeqKind.E, 2, e),
+        ("T2(f)", SeqKind.F, 2, f),
+        ("T3(e)", SeqKind.E, 3, e),
+        ("T3(f)", SeqKind.F, 3, f),
     ]
+    # one walk over n: each index is factored once for the four families,
+    # and a family drops out at its first mismatch
+    first_bad: dict[str, tuple[int, int, int]] = {}
+    for n in range(2, upto + 1):
+        t2, t3 = observed_valuation(n, 2), observed_valuation(n, 3)
+        for label, kind, prime, table in families:
+            if label in first_bad:
+                continue
+            predicted = _valuation_rule(kind, prime, t2, t3)
+            observed = observed_valuation(table[n], prime)
+            if predicted != observed:
+                first_bad[label] = (n, predicted, observed)
+        if len(first_bad) == len(families):
+            break
     checks = []
     lines = []
     status = 0
-    for label, kind, prime in families:
-        first_bad = None
-        for n in range(2, upto + 1):
-            predicted = predicted_valuation(kind, prime, n).predicted_exponent
-            observed = observed_valuation(tables[kind][n], prime)
-            if predicted != observed:
-                first_bad = (n, predicted, observed)
-                break
-        ok = first_bad is None
+    for label, *_ in families:
+        bad = first_bad.get(label)
+        ok = bad is None
         detail = (
             f"n=2..{upto} all match"
             if ok
-            else f"first mismatch at n={first_bad[0]}: predicted {first_bad[1]}, observed {first_bad[2]}"
+            else f"first mismatch at n={bad[0]}: predicted {bad[1]}, observed {bad[2]}"
         )
         checks.append({"name": label, "pass": ok, "detail": detail})
         lines.append(f"{label}: {'ok' if ok else 'FAIL'} ({detail})")
@@ -207,19 +221,22 @@ def _cmd_subgroup(args: argparse.Namespace) -> int:
     n1, n2 = args.n1, args.n2
     if n1 < _MIN_N or n2 < _MIN_N:
         raise _UsageError(f"both n values must be >= {_MIN_N}")
-    ok = subgroup_check(n1, n2)
-    g1, g2 = closed_form_group(n1), closed_form_group(n2)
+    g1 = closed_form_group(n1)
+    g2 = g1 if n2 == n1 else closed_form_group(n2)
+    ok = factorwise_subgroup(g1, g2)
+    factors1 = [str(f) for f in g1.invariant_factors]
+    factors2 = factors1 if g2 is g1 else [str(f) for f in g2.invariant_factors]
     payload = {
         "command": "subgroup",
         "n1": str(n1),
         "n2": str(n2),
         "is_subgroup": ok,
-        "factors1": [str(f) for f in g1.invariant_factors],
-        "factors2": [str(f) for f in g2.invariant_factors],
+        "factors1": factors1,
+        "factors2": factors2,
     }
     lines = [
-        f"K(C4 x C{n1}) = {g1}",
-        f"K(C4 x C{n2}) = {g2}",
+        f"K(C4 x C{n1}) = {format_group(factors1)}",
+        f"K(C4 x C{n2}) = {format_group(factors2)}",
         f"factorwise subgroup: {'yes' if ok else 'no'}",
     ]
     _emit(payload, args, lines)
@@ -286,6 +303,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if workers == 1 or len(ns) == 1:
         results = [_verify_single(n, args.pipeline) for n in ns]
     else:
+        # imported here, so that the other commands do not pay its import time
+        import concurrent.futures
+
         max_workers = workers if workers > 0 else None
         with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers) as pool:
             results = list(pool.map(_verify_single, ns, [args.pipeline] * len(ns)))
@@ -324,7 +344,10 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command's parser, built on the first call and kept for the
+    process; ``parse_args`` fills a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="critgraph",
         description="Exact critical groups and spanning-tree counts of graphs.",
@@ -384,9 +407,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 

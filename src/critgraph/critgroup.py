@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .exactla import (
     IntegerMatrix,
@@ -61,9 +62,17 @@ class AbelianGroup:
         return math.prod(self.invariant_factors)
 
     def __str__(self) -> str:
-        if not self.invariant_factors:
-            return "trivial"
-        return " x ".join(f"Z{f}" for f in self.invariant_factors)
+        return format_group(self.invariant_factors)
+
+
+def format_group(factors: Sequence[object]) -> str:
+    """``Z{f1} x Z{f2} x ...`` over the invariant factors, or ``trivial``
+    when there are none.  The factors may be ints or their decimal
+    strings, so a caller that prints the strings elsewhere converts each
+    integer once."""
+    if not factors:
+        return "trivial"
+    return " x ".join(f"Z{f}" for f in factors)
 
 
 @dataclass(frozen=True)
@@ -230,8 +239,14 @@ def subgroup_check(n1: int, n2: int) -> bool:
 
     This holds in particular whenever n1 divides n2.
     """
-    f1 = list(closed_form_group(n1).invariant_factors)
-    f2 = list(closed_form_group(n2).invariant_factors)
+    return factorwise_subgroup(closed_form_group(n1), closed_form_group(n2))
+
+
+def factorwise_subgroup(g1: AbelianGroup, g2: AbelianGroup) -> bool:
+    """The factorwise criterion of :func:`subgroup_check`, applied to two
+    groups the caller already has."""
+    f1 = list(g1.invariant_factors)
+    f2 = list(g2.invariant_factors)
     width = max(len(f1), len(f2))
     f1 = [1] * (width - len(f1)) + f1
     f2 = [1] * (width - len(f2)) + f2

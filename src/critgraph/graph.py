@@ -116,14 +116,30 @@ def c4xcn(n: int) -> Multigraph:
 def laplacian(g: Multigraph) -> IntegerMatrix:
     """Laplacian matrix: degree on the diagonal, minus edge multiplicity
     off the diagonal.  Symmetric with zero row sums."""
-    n = g.vertex_count
-    rows = [[0] * n for _ in range(n)]
+    return IntegerMatrix(_laplacian_rows(g, 0))
+
+
+def reduced_laplacian(g: Multigraph) -> IntegerMatrix:
+    """The Laplacian with row 0 and column 0 deleted, the minor of the
+    Matrix-Tree theorem, built without the full matrix.  Needs at least
+    two vertices."""
+    return IntegerMatrix(_laplacian_rows(g, 1))
+
+
+def _laplacian_rows(g: Multigraph, first: int) -> list[list[int]]:
+    """Rows and columns ``first``, ``first + 1``, ... of the Laplacian."""
+    size = g.vertex_count - first
+    rows = [[0] * size for _ in range(size)]
     for (u, v), mult in g.edge_multiplicities.items():
-        rows[u][v] = -mult
-        rows[v][u] = -mult
-        rows[u][u] += mult
+        # edge keys have u < v, so only u can fall before ``first``
+        u -= first
+        v -= first
+        if u >= 0:
+            rows[u][v] = -mult
+            rows[v][u] = -mult
+            rows[u][u] += mult
         rows[v][v] += mult
-    return IntegerMatrix(rows)
+    return rows
 
 
 def parse_edge_list(text: str) -> Multigraph:

@@ -198,10 +198,14 @@ def predicted_valuation(kind: SeqKind, prime: int, n: int) -> ValuationPredictio
         raise ValueError(f"valuation predictions cover primes 2 and 3, got {prime}")
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
-    t2 = observed_valuation(n, 2)
-    t3 = observed_valuation(n, 3)
-    if kind is SeqKind.E:
-        exponent = t3 if prime == 3 else (0 if t2 == 0 else t2 + 1)
-    else:
-        exponent = t2 if prime == 2 else (0 if t2 == 0 else t3 + 1)
+    exponent = _valuation_rule(kind, prime, observed_valuation(n, 2), observed_valuation(n, 3))
     return ValuationPrediction(prime=prime, kind=kind, n=n, predicted_exponent=exponent)
+
+
+def _valuation_rule(kind: SeqKind, prime: int, t2: int, t3: int) -> int:
+    """The rule of :func:`predicted_valuation`, given the exponents t2, t3
+    of 2 and 3 in the index, so that a sweep over n factors each index
+    once for all four (kind, prime) pairs.  The arguments are not checked."""
+    if kind is SeqKind.E:
+        return t3 if prime == 3 else (0 if t2 == 0 else t2 + 1)
+    return t2 if prime == 2 else (0 if t2 == 0 else t3 + 1)

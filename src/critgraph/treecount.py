@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .exactla import det
-from .graph import Multigraph, laplacian
+from .graph import Multigraph, reduced_laplacian
 from .seq import parity_split
 
 
@@ -54,8 +54,7 @@ def tree_count_matrix(g: Multigraph) -> int:
     the graph is disconnected."""
     if g.vertex_count == 1:
         return 1
-    reduced = laplacian(g).delete_row_col(0, 0)
-    return det(reduced)
+    return det(reduced_laplacian(g))
 
 
 def _log_big(x: int) -> float:

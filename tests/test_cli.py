@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import critgraph
 from critgraph import cli, critgroup, treecount
 from critgraph.cli import MAX_GRAPH_VERTICES, run
+from critgraph.critgroup import closed_form_group
+from critgraph.seq import SeqKind, predicted_valuation
 
 
 def _json_out(capsys):
@@ -85,6 +92,99 @@ def test_valuations(capsys):
     assert all(c["pass"] for c in payload["checks"])
 
 
+def _scale_terms(monkeypatch, changes):
+    """Make ``cli.derived_prefix`` return tables whose term n of ``kind`` is
+    multiplied by ``factor``, for each (kind, n, factor) in ``changes``."""
+    real = cli.derived_prefix
+
+    def scaled(kind, count):
+        table = real(kind, count)
+        for k, n, factor in changes:
+            if k is kind and n < count:
+                table[n] *= factor
+        return table
+
+    monkeypatch.setattr(cli, "derived_prefix", scaled)
+
+
+_FAMILIES = [
+    ("T2(e)", SeqKind.E, 2),
+    ("T2(f)", SeqKind.F, 2),
+    ("T3(e)", SeqKind.E, 3),
+    ("T3(f)", SeqKind.F, 3),
+]
+
+
+def _valuation_details(capsys, upto):
+    """(exit status, {label: line}) of the text run and (exit status,
+    checks) of the --json run of ``valuations --upto upto``."""
+    rc_text = run(["valuations", "--upto", str(upto)])
+    lines = capsys.readouterr().out.splitlines()
+    rc_json = run(["valuations", "--upto", str(upto), "--json"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    return (rc_text, {line.split(":")[0]: line for line in lines}), (rc_json, checks)
+
+
+@pytest.mark.parametrize("label, kind, prime", _FAMILIES)
+def test_valuations_reports_the_failing_family_only(capsys, monkeypatch, label, kind, prime):
+    # one more factor of ``prime`` in the term at n = 18 breaks exactly one family
+    _scale_terms(monkeypatch, [(kind, 18, prime)])
+    predicted = predicted_valuation(kind, prime, 18).predicted_exponent
+    bad = f"first mismatch at n=18: predicted {predicted}, observed {predicted + 1}"
+    (rc_text, lines), (rc_json, checks) = _valuation_details(capsys, 40)
+    assert rc_text == rc_json == 1
+    assert [c["name"] for c in checks] == [name for name, _, _ in _FAMILIES]
+    for (name, _, _), check in zip(_FAMILIES, checks):
+        if name == label:
+            assert lines[name] == f"{name}: FAIL ({bad})"
+            assert check == {"name": name, "pass": False, "detail": bad}
+        else:
+            assert lines[name] == f"{name}: ok (n=2..40 all match)"
+            assert check == {"name": name, "pass": True, "detail": "n=2..40 all match"}
+
+
+def test_valuations_first_mismatch_per_family(capsys, monkeypatch):
+    # each family reports its own first bad n, although another family
+    # failed earlier in the same walk over n
+    _scale_terms(monkeypatch, [
+        (SeqKind.E, 30, 2), (SeqKind.E, 12, 2),
+        (SeqKind.F, 7, 2),
+        (SeqKind.E, 50, 3),
+        (SeqKind.F, 40, 3),
+    ])
+    first = {"T2(e)": 12, "T2(f)": 7, "T3(e)": 50, "T3(f)": 40}
+    (rc_text, lines), (rc_json, checks) = _valuation_details(capsys, 60)
+    assert rc_text == rc_json == 1
+    for label, kind, prime in _FAMILIES:
+        n = first[label]
+        p = predicted_valuation(kind, prime, n).predicted_exponent
+        detail = f"first mismatch at n={n}: predicted {p}, observed {p + 1}"
+        assert lines[label] == f"{label}: FAIL ({detail})"
+        assert {"name": label, "pass": False, "detail": detail} in checks
+
+
+def test_subgroup_builds_each_group_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return closed_form_group(n)
+
+    monkeypatch.setattr(cli, "closed_form_group", counted)
+    assert run(["subgroup", "3", "6"]) == 0
+    assert sorted(calls) == [3, 6]
+    assert capsys.readouterr().out.splitlines() == [
+        f"K(C4 x C3) = {closed_form_group(3)}",
+        f"K(C4 x C6) = {closed_form_group(6)}",
+        "factorwise subgroup: yes",
+    ]
+    calls.clear()
+    assert run(["subgroup", "5", "5", "--json"]) == 0
+    assert calls == [5]
+    payload, _ = _json_out(capsys)
+    assert payload["factors1"] == payload["factors2"] == ["19", "19", "779", "15580"]
+
+
 def test_subgroup_exit_codes(capsys):
     assert run(["subgroup", "3", "6"]) == 0
     assert "yes" in capsys.readouterr().out
@@ -157,7 +257,7 @@ def test_laplacian_routes_reject_n_over_cap(capsys, monkeypatch):
     def no_build(arg):
         raise _Built(arg)
 
-    for module, name in ((cli, "c4xcn"), (critgroup, "laplacian"), (treecount, "laplacian")):
+    for module, name in ((cli, "c4xcn"), (critgroup, "laplacian"), (treecount, "reduced_laplacian")):
         monkeypatch.setattr(module, name, no_build)
     cap = MAX_GRAPH_VERTICES // 4
     for argv in (
@@ -216,3 +316,46 @@ def test_unknown_flag_exits_two(capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_reused_parser_resets_defaults(capsys):
+    assert run(["group", "5", "--method", "relations", "--json"]) == 0
+    assert _json_out(capsys)[0]["method"] == "relations"
+    assert run(["group", "5", "--json"]) == 0
+    assert _json_out(capsys)[0]["method"] == "closed"
+
+
+def test_reused_parser_forgets_earlier_options(capsys):
+    assert run(["seq", "u", "--upto", "3", "--m", "3"]) == 0
+    capsys.readouterr()
+    assert run(["seq", "e", "--upto", "3"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["0 0", "1 1", "2 4", "3 15"]
+
+
+def test_parser_built_once_survives_usage_error_and_help(capsys):
+    cli._parser.cache_clear()
+    assert run(["group", "5"]) == 0
+    first = capsys.readouterr()
+    assert run(["group", "5", "--bogus"]) == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert run(["--help"]) == 0
+    assert "usage: critgraph" in capsys.readouterr().out
+    assert run(["group", "5"]) == 0
+    assert capsys.readouterr() == first
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_import_leaves_concurrent_futures_unloaded():
+    # the process pool is imported only by verify --parallelism
+    code = (
+        "import sys; before = 'concurrent.futures' in sys.modules; import critgraph.cli; "
+        "print('concurrent.futures' in sys.modules and not before)"
+    )
+    src = str(Path(critgraph.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout.strip() == "False"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from critgraph.exactla import IntegerMatrix, det_bareiss
@@ -8,6 +10,7 @@ from critgraph.graph import (
     cycle,
     laplacian,
     parse_edge_list,
+    reduced_laplacian,
 )
 
 
@@ -96,6 +99,20 @@ def test_prism_laplacian_has_corank_one():
     for n in range(3, 21):
         reduced = laplacian(c4xcn(n)).delete_row_col(0, 0)
         assert det_bareiss(reduced) != 0
+
+
+def test_reduced_laplacian_is_the_laplacian_minor(random_multigraph):
+    rng = random.Random(41)
+    graphs = [
+        cycle(7),
+        c4xcn(5),
+        Multigraph(2, {(0, 1): 3}),
+        Multigraph(3, {(1, 2): 2}),  # vertex 0 isolated
+        Multigraph(4, {(0, 3): 2, (0, 1): 1, (2, 3): 1}),
+    ]
+    graphs += [random_multigraph(rng, v, v, 1 + v % 3) for v in range(2, 41, 3)]
+    for g in graphs:
+        assert reduced_laplacian(g) == laplacian(g).delete_row_col(0, 0), g
 
 
 def test_parse_edge_list_basic():
