@@ -127,7 +127,7 @@ def _cmd_treecount(args: argparse.Namespace) -> int:
         lines.append(f"matrix-tree check: {'ok' if ok else 'MISMATCH'} ({by_matrix_text})")
         status |= 0 if ok else 1
     if args.check in ("trig", "all"):
-        report = trig_product_check(n, args.tolerance)
+        report = trig_product_check(n, args.tolerance, count=count)
         ok = bool(report.trig_passed)
         checks.append({
             "name": "trig-product",

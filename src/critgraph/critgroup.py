@@ -30,7 +30,7 @@ from .exactla import (
     snf,
 )
 from .graph import Multigraph, laplacian
-from .seq import parity_split, u_seq
+from .seq import _u_pair, parity_split, u_seq
 
 
 @dataclass(frozen=True)
@@ -391,24 +391,14 @@ _FIXTURES = {
 }
 
 
-def _u_signed(m: int, k: int) -> int:
-    # first-kind sequence extended to negative indices: u_{-k} = -u_k
-    return -u_seq(m, -k) if k < 0 else u_seq(m, k)
-
-
-def _p_val(i: int, n: int) -> int:
-    return _u_signed(2, i) + _u_signed(2, n - i)
-
-
-def _q_val(i: int, n: int) -> int:
-    return _u_signed(4, i) + _u_signed(4, n - i)
-
-
 def _seven_template(n: int) -> IntegerMatrix:
     """The 7x7 matrix that the first stage lands on, written in the
      'folded' sequences p_i = e_i + e_{n-i} and q_i = f_i + f_{n-i}."""
-    p = {i: _p_val(i, n) for i in (-1, 0, 1)}
-    q = {i: _q_val(i, n) for i in (-1, 0, 1)}
+    # e_{-1}, e_0, e_1 = -1, 0, 1: p_{-1}, p_0, p_1 = e_{n+1} - 1, e_n, e_{n-1} + 1 (q alike in f)
+    e_before, e_n = _u_pair(2, n - 1)
+    f_before, f_n = _u_pair(4, n - 1)
+    p = {-1: 4 * e_n - e_before - 1, 0: e_n, 1: e_before + 1}
+    q = {-1: 6 * f_n - f_before - 1, 0: f_n, 1: f_before + 1}
     return IntegerMatrix([
         [0, 0, 0, n, n, 0, 0],
         [0, p[-1], p[0], 0, 0, 0, 0],

@@ -180,15 +180,17 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def _min_abs_pivot(m: list[list[int]], t: int) -> tuple[Optional[tuple[int, int]], int]:
-    """Position of a minimal-|value| nonzero entry in m[t:, t:], and the
-    largest bit length seen in that submatrix."""
+def _min_abs_pivot(
+    m: list[list[int]], t: int, nr: int, nc: int
+) -> tuple[Optional[tuple[int, int]], int]:
+    """Position of the first (row-major) minimal-|value| nonzero entry in
+    m[t:nr, t:nc], and the largest bit length seen in that submatrix."""
     best: Optional[tuple[int, int]] = None
     best_abs = 0
     peak = 0
-    for i in range(t, len(m)):
+    for i in range(t, nr):
         row = m[i]
-        for j in range(t, len(row)):
+        for j in range(t, nc):
             x = row[j]
             if x:
                 ax = -x if x < 0 else x
@@ -197,24 +199,12 @@ def _min_abs_pivot(m: list[list[int]], t: int) -> tuple[Optional[tuple[int, int]
                     peak = bl
                 if best is None or ax < best_abs:
                     best, best_abs = (i, j), ax
-                    if ax == 1:
-                        # cannot do better; still finish the peak scan
-                        for i2 in range(i, len(m)):
-                            row2 = m[i2]
-                            start = j + 1 if i2 == i else t
-                            for j2 in range(start, len(row2)):
-                                y = row2[j2]
-                                if y:
-                                    bl = abs(y).bit_length()
-                                    if bl > peak:
-                                        peak = bl
-                        return best, peak
     return best, peak
 
 
 def _dense_snf(m: list[list[int]], want_transforms: bool) -> SnfResult:
-    """Dense Smith normal form of ``m`` (a nonempty list of equal-length
-    rows, reduced in place).
+    """Dense Smith normal form of ``m``, a nonempty list of equal-length
+    rows (reduced in place when no transforms are wanted).
 
     Each stage moves the nonzero entry of minimal absolute value in the
     remaining submatrix to the pivot position, then clears the pivot row
@@ -225,33 +215,32 @@ def _dense_snf(m: list[list[int]], want_transforms: bool) -> SnfResult:
     is forced to divide the remaining submatrix by the usual add-a-row
     fix-up.  Diagonal entries come out nonnegative, with zeros (rank
     deficiency) at the tail.
+
+    With transforms, the loop runs on the bordered matrix
+    ``[[m, I], [I, 0]]`` and reads and reduces only its first nr rows and
+    nc columns: each row operation carries the right border into the left
+    transform, and each column operation the lower border into the right
+    transform.
     """
     nr, nc = len(m), len(m[0])
-    p = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)] if want_transforms else None
-    q = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)] if want_transforms else None
+    if want_transforms:
+        m = [row + [int(i == k) for k in range(nr)] for i, row in enumerate(m)] + [
+            [int(j == k) for k in range(nc)] + [0] * nr for j in range(nc)
+        ]
     peak = 0
 
     def row_sub(i: int, t: int, factor: int) -> None:
         m[i] = [x - factor * y for x, y in zip(m[i], m[t])]
-        if p is not None:
-            p[i] = [x - factor * y for x, y in zip(p[i], p[t])]
 
     def rows_combine(t: int, i: int, aa: int, bb: int, cc: int, dd: int) -> None:
         # row_t <- aa*row_t + bb*row_i ; row_i <- cc*row_t + dd*row_i
         mt, mi = m[t], m[i]
         m[t] = [aa * x + bb * y for x, y in zip(mt, mi)]
         m[i] = [cc * x + dd * y for x, y in zip(mt, mi)]
-        if p is not None:
-            pt, pi = p[t], p[i]
-            p[t] = [aa * x + bb * y for x, y in zip(pt, pi)]
-            p[i] = [cc * x + dd * y for x, y in zip(pt, pi)]
 
     def col_sub(j: int, t: int, factor: int) -> None:
         for row in m:
             row[j] -= factor * row[t]
-        if q is not None:
-            for row in q:
-                row[j] -= factor * row[t]
 
     def cols_combine(t: int, j: int, aa: int, bb: int, cc: int, dd: int) -> None:
         # col_t <- aa*col_t + bb*col_j ; col_j <- cc*col_t + dd*col_j
@@ -259,23 +248,6 @@ def _dense_snf(m: list[list[int]], want_transforms: bool) -> SnfResult:
             x, y = row[t], row[j]
             row[t] = aa * x + bb * y
             row[j] = cc * x + dd * y
-        if q is not None:
-            for row in q:
-                x, y = row[t], row[j]
-                row[t] = aa * x + bb * y
-                row[j] = cc * x + dd * y
-
-    def swap_rows(i: int, t: int) -> None:
-        m[i], m[t] = m[t], m[i]
-        if p is not None:
-            p[i], p[t] = p[t], p[i]
-
-    def swap_cols(j: int, t: int) -> None:
-        for row in m:
-            row[j], row[t] = row[t], row[j]
-        if q is not None:
-            for row in q:
-                row[j], row[t] = row[t], row[j]
 
     def clear_column(t: int) -> None:
         for i in range(t + 1, nr):
@@ -302,13 +274,15 @@ def _dense_snf(m: list[list[int]], want_transforms: bool) -> SnfResult:
                 cols_combine(t, j, x, y, v // g, -(pivot // g))
 
     for t in range(min(nr, nc)):
-        pos, sub_peak = _min_abs_pivot(m, t)
+        pos, sub_peak = _min_abs_pivot(m, t, nr, nc)
         if sub_peak > peak:
             peak = sub_peak
         if pos is None:
             break
-        swap_rows(pos[0], t)
-        swap_cols(pos[1], t)
+        i, j = pos
+        m[i], m[t] = m[t], m[i]
+        for row in m:
+            row[j], row[t] = row[t], row[j]
 
         while True:
             while any(m[i][t] for i in range(t + 1, nr)) or any(
@@ -334,17 +308,15 @@ def _dense_snf(m: list[list[int]], want_transforms: bool) -> SnfResult:
 
         if m[t][t] < 0:
             m[t] = [-x for x in m[t]]
-            if p is not None:
-                p[t] = [-x for x in p[t]]
 
-    _, final_peak = _min_abs_pivot(m, 0)
+    _, final_peak = _min_abs_pivot(m, 0, nr, nc)
     if final_peak > peak:
         peak = final_peak
     diag = tuple(m[i][i] for i in range(min(nr, nc)))
     return SnfResult(
         diagonal=diag,
-        left_transform=IntegerMatrix(p) if p is not None else None,
-        right_transform=IntegerMatrix(q) if q is not None else None,
+        left_transform=IntegerMatrix(row[nc:] for row in m[:nr]) if want_transforms else None,
+        right_transform=IntegerMatrix(row[:nc] for row in m[nr:]) if want_transforms else None,
         peak_bit_length=peak,
     )
 

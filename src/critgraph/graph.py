@@ -101,16 +101,11 @@ def cartesian_product(g1: Multigraph, g2: Multigraph) -> Multigraph:
 def c4xcn(n: int) -> Multigraph:
     """The prism-of-cycles C4 x Cn: n four-cycle layers, layer vertex
     (i, j) encoded as 4*i + j, joined ring-to-ring between consecutive
-    layers.  4-regular with 8n edges."""
+    layers.  4-regular with 8n edges; this is ``cartesian_product(cycle(4),
+    cycle(n))``, whose vertex (j, i) is encoded as the same j + 4*i."""
     if n < 3:
         raise ValueError(f"C4 x Cn needs n >= 3, got {n}")
-    edges: dict[tuple[int, int], int] = {}
-    for i in range(n):
-        for j in range(4):
-            here = 4 * i + j
-            edges[_edge_key(here, 4 * i + (j + 1) % 4)] = 1
-            edges[_edge_key(here, 4 * ((i + 1) % n) + j)] = 1
-    return Multigraph(4 * n, edges)
+    return cartesian_product(cycle(4), cycle(n))
 
 
 def laplacian(g: Multigraph) -> IntegerMatrix:

@@ -67,9 +67,12 @@ def _log_big(x: int) -> float:
     return math.log(x >> shift) + shift * math.log(2)
 
 
-def trig_product_check(n: int, rel_tolerance: float = 1e-9) -> TreeCountReport:
+def trig_product_check(
+    n: int, rel_tolerance: float = 1e-9, *, count: Optional[int] = None
+) -> TreeCountReport:
     """Compare the closed-form count against the Laplacian-eigenvalue
-    product, in log space.
+    product, in log space.  ``count`` is the closed-form count when the
+    caller has it already; it is computed otherwise.
 
     The floating-point sum of 2*ln(4 - 2cos(2 pi j/n)) + ln(6 - 2cos(2
     pi j/n)) over 1 <= j < n is compared to ln(count) - ln(4n); the
@@ -78,7 +81,8 @@ def trig_product_check(n: int, rel_tolerance: float = 1e-9) -> TreeCountReport:
     """
     if rel_tolerance <= 0:
         raise ValueError(f"relative tolerance must be positive, got {rel_tolerance}")
-    count = tree_count_closed(n)
+    if count is None:
+        count = tree_count_closed(n)
     total = 0.0
     for j in range(1, n):
         c = 2.0 * math.cos(2.0 * math.pi * j / n)

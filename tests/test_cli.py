@@ -69,6 +69,23 @@ def test_treecount_bad_tolerance(capsys):
     capsys.readouterr()
 
 
+def test_treecount_computes_closed_form_once(capsys, monkeypatch):
+    original = treecount.tree_count_closed
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(cli, "tree_count_closed", counted)
+    monkeypatch.setattr(treecount, "tree_count_closed", counted)
+    assert run(["treecount", "30", "--check", "all", "--json"]) == 0
+    assert calls == [30]
+    payload, _ = _json_out(capsys)
+    assert payload["count"] == str(original(30))
+    assert [c["pass"] for c in payload["checks"]] == [True, True]
+
+
 def test_seq_table(capsys):
     assert run(["seq", "e", "--upto", "6"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

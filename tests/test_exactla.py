@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from critgraph.critgroup import relations_matrix
 from critgraph.exactla import (
     IntegerMatrix,
     _eliminate_units,
@@ -300,6 +301,13 @@ def test_unit_elimination_leaves_eight_generators():
 def test_peak_bit_length_reported():
     res = snf(laplacian(c4xcn(6)))
     assert res.peak_bit_length >= 3  # at least the input entries
+    # pinned: the traced benchmark's exactla.snf.peak_bits reads this counter
+    for n, peak in ((5, 140), (12, 392), (40, 2469)):
+        assert snf(relations_matrix(n)).peak_bit_length == peak, n
+        assert snf(relations_matrix(n), want_transforms=True).peak_bit_length == peak, n
+    for n, peak in ((6, 84), (20, 793), (64, 3475)):
+        assert snf(laplacian(c4xcn(n))).peak_bit_length == peak, n
+    assert snf(laplacian(c4xcn(6)), want_transforms=True).peak_bit_length == 141
 
 
 def test_matrix_text_round_trip():

@@ -73,6 +73,14 @@ def test_prism_family_structure():
 def test_prism_equals_cartesian_product():
     for n in range(3, 51):
         assert c4xcn(n) == cartesian_product(cycle(4), cycle(n))
+        # the layered encoding, written out: ring edges inside layer i and
+        # rungs to layer i + 1
+        edges = {}
+        for i in range(n):
+            for j in range(4):
+                edges[(4 * i + j, 4 * i + (j + 1) % 4)] = 1
+                edges[(4 * i + j, 4 * ((i + 1) % n) + j)] = 1
+        assert c4xcn(n) == Multigraph(4 * n, edges)
 
 
 def test_laplacian_examples():
