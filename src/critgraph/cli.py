@@ -44,8 +44,9 @@ _MIN_N = 3
 # Largest vertex count the full-Laplacian route accepts: ``graph-group``,
 # and ``group N --method snf``, ``treecount N --check matrix|all`` and
 # ``verify --range A..B`` on the 4N-vertex C4 x CN (so N <= 250).  The route
-# builds a dense |V| x |V| matrix, so the cap bounds memory (10^6 entries
-# at the cap) before anything is allocated.
+# builds the Laplacian sparse, in O(|V| + |E|); the cap bounds the time of
+# the +-1 pre-pass and of the dense SNF of the core it leaves, whose
+# entries grow with |V|, and is checked before the Laplacian is built.
 MAX_GRAPH_VERTICES = 1000
 
 
@@ -266,7 +267,7 @@ def _cmd_graph_group(args: argparse.Namespace) -> int:
     if graph.vertex_count > MAX_GRAPH_VERTICES:
         raise _UsageError(
             f"graph has {graph.vertex_count} vertices; graph-group handles at most "
-            f"{MAX_GRAPH_VERTICES} (dense Laplacian)"
+            f"{MAX_GRAPH_VERTICES} (core SNF time)"
         )
     return _emit_group(args, group_of_graph(graph))
 

@@ -29,7 +29,7 @@ from .exactla import (
     is_unimodular,
     snf,
 )
-from .graph import Multigraph, laplacian
+from .graph import Multigraph, sparse_laplacian
 from .seq import _u_pair, parity_split, u_seq
 
 
@@ -180,7 +180,7 @@ def group_of_graph(g: Multigraph) -> AbelianGroup:
     The SNF diagonal must contain exactly one zero (the free rank of the
     cokernel); more than one means the graph is disconnected.
     """
-    return _group_from_snf_diag(snf(laplacian(g)).diagonal, expect_zeros=1)
+    return _group_from_snf_diag(snf(sparse_laplacian(g)).diagonal, expect_zeros=1)
 
 
 def group_via_relations(n: int) -> AbelianGroup:
@@ -232,12 +232,17 @@ def closed_form_group(n: int) -> AbelianGroup:
 
 
 def subgroup_check(n1: int, n2: int) -> bool:
-    """True iff K(C4 x Cn1) embeds into K(C4 x Cn2) by the sufficient
-    factorwise criterion: right-align both invariant-factor chains
-    (padding the shorter with 1s at the small end) and require each
-    factor of the first to divide the matching factor of the second.
+    """True iff K(C4 x Cn1) embeds into K(C4 x Cn2), by the factorwise
+    criterion: right-align both invariant-factor chains (padding the
+    shorter with 1s at the small end) and require each factor of the
+    first to divide the matching factor of the second.
 
-    This holds in particular whenever n1 divides n2.
+    For invariant-factor chains the criterion is necessary as well as
+    sufficient: a finite abelian group embeds into another iff, for each
+    prime, its exponents are dominated by the other's once both are
+    sorted, and the exponents of a chain are sorted in the chain's own
+    order.  So False is a true negative.  The answer is True in
+    particular whenever n1 divides n2.
     """
     return factorwise_subgroup(closed_form_group(n1), closed_form_group(n2))
 

@@ -12,8 +12,11 @@ smaller dimension is at most 8.
 Without transforms, :func:`snf` and :func:`det` first run a sparse
 pre-pass, :func:`_eliminate_units`, that takes the +-1 pivots in
 Markowitz order; each is a unit invariant factor and a factor +-1 of the
-determinant.  Graph Laplacians mostly eliminate this way (C4 x Cn down
-to an 8 x 8 core), and only the core goes to the dense engine or to the
+determinant.  The pre-pass reads a :class:`SparseMatrix`, dict rows of
+the nonzero entries; both entry points take one as it is and convert an
+``IntegerMatrix`` once.  Graph Laplacians, built sparse from their edges
+(``graph.sparse_laplacian``), mostly eliminate this way (C4 x Cn down to
+an 8 x 8 core), and only the core goes to the dense engine or to the
 Bareiss fraction-free elimination, which stays in the integers
 throughout.  The dense engine with transforms, and :func:`det_bareiss`
 on the whole matrix, are the oracles the pre-pass is tested against.
@@ -29,6 +32,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -104,7 +108,7 @@ class IntegerMatrix:
             )
         bt = list(zip(*other._rows))
         return IntegerMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self._rows]
+            [[sum(map(operator.mul, row, col)) for col in bt] for row in self._rows]
         )
 
     def __pow__(self, exponent: int) -> "IntegerMatrix":
@@ -146,6 +150,41 @@ class IntegerMatrix:
             for row in self._rows
         ]
         return "\n".join(lines)
+
+
+class SparseMatrix:
+    """Integer matrix held as one dict per row, column -> entry, of its
+    nonzero entries; the input :func:`snf` and :func:`det` read without
+    transforms.  The dicts are shared, not copied, and never written."""
+
+    __slots__ = ("rows", "col_count")
+
+    def __init__(self, rows: list[dict[int, int]], col_count: int):
+        if not rows or col_count < 1:
+            raise ValueError("matrix must have at least one row and one column")
+        self.rows = rows
+        self.col_count = col_count
+
+    @classmethod
+    def from_dense(cls, a: IntegerMatrix) -> "SparseMatrix":
+        return cls([{j: x for j, x in enumerate(row) if x} for row in a._rows], a.col_count)
+
+    @property
+    def row_count(self) -> int:
+        return len(self.rows)
+
+    @property
+    def is_square(self) -> bool:
+        return self.row_count == self.col_count
+
+    def to_dense(self) -> IntegerMatrix:
+        dense = []
+        for entries in self.rows:
+            row = [0] * self.col_count
+            for j, x in entries.items():
+                row[j] = x
+            dense.append(row)
+        return IntegerMatrix(dense)
 
 
 @dataclass(frozen=True)
@@ -337,15 +376,15 @@ def _permutation_sign(order: list[int]) -> int:
     return sign
 
 
-def _eliminate_units(m: list[list[int]]) -> tuple[int, int, list[list[int]], int]:
-    """Sparse elimination of the +-1 pivots of ``m`` (only read), ahead
+def _eliminate_units(a: SparseMatrix) -> tuple[int, int, list[list[int]], int]:
+    """Sparse elimination of the +-1 pivots of ``a`` (only read), ahead
     of a dense engine that then runs on the small core that is left.
 
-    Rows are kept as dicts of their nonzero entries, with an index from
-    each column to the rows that have an entry there.  While the remaining
-    rows and columns hold a +-1 entry, the one of least Markowitz cost
-    (r-1)(c-1), r and c the nonzero counts of its row and column, becomes
-    the pivot: a multiple of the pivot row is subtracted from every other
+    The rows are copied (zero entries dropped), and an index from each
+    column to the rows that have an entry there is built.  While the
+    remaining rows and columns hold a +-1 entry, the one of least
+    Markowitz cost (r-1)(c-1), r and c the nonzero counts of its row and
+    column, becomes the pivot: a multiple of the pivot row is subtracted from every other
     row with an entry in the pivot column, then the pivot row and column
     are dropped, since column operations clear the rest of the pivot row
     without touching any other row.  Each pivot is one unit invariant
@@ -360,24 +399,27 @@ def _eliminate_units(m: list[list[int]]) -> tuple[int, int, list[list[int]], int
     n = 32..64.
 
     Returns ``(units, sign, core, peak)``: the number of pivots; a sign
-    such that det(m) = sign * det(core) when m is square (the pivots and
+    such that det(a) = sign * det(core) when a is square (the pivots and
     the parity of their positions); the remaining rows and columns as
     dense rows in their original order, with no +-1 entry (``[]`` when
     no row remains); and the largest bit length of an input entry or of
     an entry the elimination wrote.
     """
-    nr, nc = len(m), len(m[0])
+    nr, nc = a.row_count, a.col_count
     rows: dict[int, dict[int, int]] = {}
     cols: list[set[int]] = [set() for _ in range(nc)]
-    peak = 0
-    for i, row in enumerate(m):
-        entries = {j: x for j, x in enumerate(row) if x}
+    # the largest and the smallest entry held, for the peak bit length
+    hi = lo = 0
+    for i, row in enumerate(a.rows):
+        entries = {j: x for j, x in row.items() if x}
         if entries:
             rows[i] = entries
             for j, x in entries.items():
                 cols[j].add(i)
-                if x.bit_length() > peak:
-                    peak = x.bit_length()
+                if x > hi:
+                    hi = x
+                elif x < lo:
+                    lo = x
     # (cost, row, column) of the unit entries; an item goes stale when its
     # entry or its cost changes, and the changed entry is queued again
     queue = [
@@ -387,14 +429,17 @@ def _eliminate_units(m: list[list[int]]) -> tuple[int, int, list[list[int]], int
         if x == 1 or x == -1
     ]
     heapq.heapify(queue)
+    push, pop = heapq.heappush, heapq.heappop
     row_order: list[int] = []
     col_order: list[int] = []
     sign = 1
     while queue:
-        cost, i, j = heapq.heappop(queue)
+        cost, i, j = pop(queue)
         pivot_row = rows.get(i)
-        pivot = pivot_row.get(j) if pivot_row else None
-        if pivot not in (1, -1) or cost != (len(pivot_row) - 1) * (len(cols[j]) - 1):
+        if pivot_row is None:
+            continue
+        pivot = pivot_row.get(j)
+        if (pivot != 1 and pivot != -1) or cost != (len(pivot_row) - 1) * (len(cols[j]) - 1):
             continue
         del rows[i]
         del pivot_row[j]
@@ -408,29 +453,39 @@ def _eliminate_units(m: list[list[int]]) -> tuple[int, int, list[list[int]], int
             entries = rows[t]
             factor = entries.pop(j) * pivot  # entry / pivot, as pivot is +-1
             for k, y in pivot_row.items():
-                x = entries.get(k, 0) - factor * y
-                if x:
-                    if k not in entries:
-                        cols[k].add(t)
-                    entries[k] = x
-                    if x.bit_length() > peak:
-                        peak = x.bit_length()
-                elif k in entries:
-                    del entries[k]
-                    cols[k].discard(t)
+                x = entries.get(k)
+                if x is None:
+                    x = -factor * y
+                    cols[k].add(t)
+                else:
+                    x -= factor * y
+                    if not x:
+                        del entries[k]
+                        cols[k].discard(t)
+                        continue
+                entries[k] = x
+                if x > hi:
+                    hi = x
+                elif x < lo:
+                    lo = x
             if not entries:
                 del rows[t]
         # rows in the pivot column and columns in the pivot row changed
         for t in column:
-            entries = rows.get(t, {})
-            for k, x in entries.items():
-                if x == 1 or x == -1:
-                    heapq.heappush(queue, ((len(entries) - 1) * (len(cols[k]) - 1), t, k))
+            entries = rows.get(t)
+            if entries:
+                r = len(entries) - 1
+                for k, x in entries.items():
+                    if x == 1 or x == -1:
+                        push(queue, (r * (len(cols[k]) - 1), t, k))
         for k in pivot_row:
+            c = len(cols[k]) - 1
             for t in cols[k]:
-                x = rows[t][k]
-                if x == 1 or x == -1:
-                    heapq.heappush(queue, ((len(rows[t]) - 1) * (len(cols[k]) - 1), t, k))
+                if t not in column:
+                    entries = rows[t]
+                    x = entries[k]
+                    if x == 1 or x == -1:
+                        push(queue, ((len(entries) - 1) * c, t, k))
         row_order.append(i)
         col_order.append(j)
     pivot_rows, pivot_cols = set(row_order), set(col_order)
@@ -441,11 +496,16 @@ def _eliminate_units(m: list[list[int]]) -> tuple[int, int, list[list[int]], int
     for i in rest_rows:
         entries = rows.get(i, {})
         core.append([entries.get(j, 0) for j in rest_cols])
-    return len(row_order), sign, core, peak
+    return len(row_order), sign, core, max(hi.bit_length(), lo.bit_length())
 
 
-def snf(a: IntegerMatrix, want_transforms: bool = False) -> SnfResult:
-    """Smith normal form of an arbitrary rectangular integer matrix.
+def _sparse(a: IntegerMatrix | SparseMatrix) -> SparseMatrix:
+    return a if isinstance(a, SparseMatrix) else SparseMatrix.from_dense(a)
+
+
+def snf(a: IntegerMatrix | SparseMatrix, want_transforms: bool = False) -> SnfResult:
+    """Smith normal form of an arbitrary rectangular integer matrix,
+    dense or sparse.
 
     Without transforms, :func:`_eliminate_units` first takes every +-1
     pivot by sparse elimination; each is a unit invariant factor.  The
@@ -463,8 +523,10 @@ def snf(a: IntegerMatrix, want_transforms: bool = False) -> SnfResult:
     entries and what the dense scans of the core saw.
     """
     if want_transforms:
+        if isinstance(a, SparseMatrix):
+            a = a.to_dense()
         return _dense_snf(a.to_lists(), True)
-    units, _, core, peak = _eliminate_units(a._rows)
+    units, _, core, peak = _eliminate_units(_sparse(a))
     diagonal = (1,) * units
     if core and core[0]:
         dense = _dense_snf(core, False)
@@ -473,12 +535,13 @@ def snf(a: IntegerMatrix, want_transforms: bool = False) -> SnfResult:
     return SnfResult(diagonal=diagonal, peak_bit_length=peak)
 
 
-def det(a: IntegerMatrix) -> int:
-    """Exact determinant: the +-1 pivots of :func:`_eliminate_units`, then
-    :func:`det_bareiss` on the core that is left."""
+def det(a: IntegerMatrix | SparseMatrix) -> int:
+    """Exact determinant of a dense or sparse matrix: the +-1 pivots of
+    :func:`_eliminate_units`, then :func:`det_bareiss` on the core that
+    is left."""
     if not a.is_square:
         raise ValueError("determinant requires a square matrix")
-    _, sign, core, _ = _eliminate_units(a._rows)
+    _, sign, core, _ = _eliminate_units(_sparse(a))
     return sign * det_bareiss(IntegerMatrix(core)) if core else sign
 
 

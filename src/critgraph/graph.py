@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .exactla import IntegerMatrix
+from .exactla import IntegerMatrix, SparseMatrix
 
 
 def _edge_key(u: int, v: int) -> tuple[int, int]:
@@ -108,33 +108,35 @@ def c4xcn(n: int) -> Multigraph:
     return cartesian_product(cycle(4), cycle(n))
 
 
-def laplacian(g: Multigraph) -> IntegerMatrix:
-    """Laplacian matrix: degree on the diagonal, minus edge multiplicity
-    off the diagonal.  Symmetric with zero row sums."""
-    return IntegerMatrix(_laplacian_rows(g, 0))
-
-
-def reduced_laplacian(g: Multigraph) -> IntegerMatrix:
-    """The Laplacian with row 0 and column 0 deleted, the minor of the
-    Matrix-Tree theorem, built without the full matrix.  Needs at least
-    two vertices."""
-    return IntegerMatrix(_laplacian_rows(g, 1))
-
-
-def _laplacian_rows(g: Multigraph, first: int) -> list[list[int]]:
-    """Rows and columns ``first``, ``first + 1``, ... of the Laplacian."""
-    size = g.vertex_count - first
-    rows = [[0] * size for _ in range(size)]
-    for (u, v), mult in g.edge_multiplicities.items():
+def sparse_laplacian(g: Multigraph, *, reduced: bool = False) -> SparseMatrix:
+    """Laplacian as dict rows of its nonzero entries, built straight from
+    the edge map in O(|V| + |E|): degree on the diagonal, minus edge
+    multiplicity off the diagonal.  ``reduced`` deletes row 0 and column 0,
+    the minor of the Matrix-Tree theorem (needs at least two vertices)."""
+    first = 1 if reduced else 0
+    rows: list[dict[int, int]] = [{} for _ in range(g.vertex_count - first)]
+    for (u, v), mult in g._edges.items():
         # edge keys have u < v, so only u can fall before ``first``
         u -= first
         v -= first
         if u >= 0:
             rows[u][v] = -mult
             rows[v][u] = -mult
-            rows[u][u] += mult
-        rows[v][v] += mult
-    return rows
+            rows[u][u] = rows[u].get(u, 0) + mult
+        rows[v][v] = rows[v].get(v, 0) + mult
+    return SparseMatrix(rows, len(rows))
+
+
+def laplacian(g: Multigraph) -> IntegerMatrix:
+    """Dense view of :func:`sparse_laplacian`.  Symmetric with zero row
+    sums."""
+    return sparse_laplacian(g).to_dense()
+
+
+def reduced_laplacian(g: Multigraph) -> IntegerMatrix:
+    """Dense view of ``sparse_laplacian(g, reduced=True)``, the
+    Laplacian with row 0 and column 0 deleted."""
+    return sparse_laplacian(g, reduced=True).to_dense()
 
 
 def parse_edge_list(text: str) -> Multigraph:

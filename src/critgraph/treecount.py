@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .exactla import det
-from .graph import Multigraph, reduced_laplacian
+from .graph import Multigraph, sparse_laplacian
 from .seq import parity_split
 
 
@@ -54,7 +54,7 @@ def tree_count_matrix(g: Multigraph) -> int:
     the graph is disconnected."""
     if g.vertex_count == 1:
         return 1
-    return det(reduced_laplacian(g))
+    return det(sparse_laplacian(g, reduced=True))
 
 
 def _log_big(x: int) -> float:
@@ -79,8 +79,8 @@ def trig_product_check(
     report carries the relative residual and passes iff it is within
     ``rel_tolerance``.
     """
-    if rel_tolerance <= 0:
-        raise ValueError(f"relative tolerance must be positive, got {rel_tolerance}")
+    if rel_tolerance <= 0 or not math.isfinite(rel_tolerance):
+        raise ValueError(f"relative tolerance must be positive and finite, got {rel_tolerance}")
     if count is None:
         count = tree_count_closed(n)
     total = 0.0

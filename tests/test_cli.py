@@ -69,6 +69,19 @@ def test_treecount_bad_tolerance(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_treecount_non_finite_tolerance_is_usage_error(capsys, tolerance, mode):
+    # nan would fail every residual and inf would pass every one; the
+    # ``=`` form keeps argparse from reading -inf as an option
+    for check in ("trig", "all"):
+        argv = ["treecount", "5", "--check", check, f"--tolerance={tolerance}", *mode]
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"relative tolerance must be positive and finite, got {tolerance}" in captured.err
+
+
 def test_treecount_computes_closed_form_once(capsys, monkeypatch):
     original = treecount.tree_count_closed
     calls = []
@@ -251,11 +264,11 @@ def test_graph_group_bad_vertex_header(tmp_path, capsys):
 
 
 def test_graph_group_rejects_graph_over_vertex_cap(tmp_path, capsys, monkeypatch):
-    # the cap is checked before the dense Laplacian is built
-    def no_laplacian(graph):
-        raise AssertionError("dense Laplacian built for an over-cap graph")
+    # the cap is checked before the Laplacian is built
+    def no_laplacian(graph, **kwargs):
+        raise AssertionError("Laplacian built for an over-cap graph")
 
-    monkeypatch.setattr(critgroup, "laplacian", no_laplacian)
+    monkeypatch.setattr(critgroup, "sparse_laplacian", no_laplacian)
     path = tmp_path / "g.txt"
     for text in ("0 100000000\n", f"vertices {MAX_GRAPH_VERTICES + 1}\n0 1\n"):
         path.write_text(text)
@@ -270,11 +283,11 @@ class _Built(Exception):
 
 def test_laplacian_routes_reject_n_over_cap(capsys, monkeypatch):
     # C4 x CN has 4N vertices: N <= 250 passes the cap, N = 251 exits 2
-    # before C4 x CN or its dense Laplacian is built
-    def no_build(arg):
+    # before C4 x CN or its Laplacian is built
+    def no_build(arg, **kwargs):
         raise _Built(arg)
 
-    for module, name in ((cli, "c4xcn"), (critgroup, "laplacian"), (treecount, "reduced_laplacian")):
+    for module, name in ((cli, "c4xcn"), (critgroup, "sparse_laplacian"), (treecount, "sparse_laplacian")):
         monkeypatch.setattr(module, name, no_build)
     cap = MAX_GRAPH_VERTICES // 4
     for argv in (

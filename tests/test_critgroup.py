@@ -25,9 +25,10 @@ from critgraph.critgroup import (
     verify_layer_expansion,
     verify_reduction_pipeline,
 )
-from critgraph.exactla import IntegerMatrix, det_bareiss, is_unimodular, snf
+from critgraph import critgroup, graph, treecount
+from critgraph.exactla import IntegerMatrix, SparseMatrix, det_bareiss, is_unimodular, snf
 from critgraph.graph import Multigraph, c4xcn, cycle, laplacian
-from critgraph.treecount import tree_count_matrix
+from critgraph.treecount import tree_count_closed, tree_count_matrix
 
 
 # -- AbelianGroup ----------------------------------------------------------
@@ -169,6 +170,67 @@ def test_group_of_graph_on_random_multigraphs(random_multigraph):
         assert group_of_graph(h) == group, trial
         reduced = laplacian(g).delete_row_col(0, 0)
         assert group.order == tree_count_matrix(g) == det_bareiss(reduced), trial
+
+
+def _sympy_group(g: Multigraph) -> tuple[int, ...]:
+    """Invariant factors > 1 of the Laplacian cokernel by sympy's SNF,
+    after checking that its diagonal is a chain with one zero."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    n = g.vertex_count
+    d = smith_normal_form(sympy.Matrix(laplacian(g).to_lists()), domain=sympy.ZZ)
+    diag = [abs(int(d[i, i])) for i in range(n)]
+    assert diag.count(0) == 1 and diag[-1] == 0, diag
+    assert all(b % a == 0 for a, b in zip(diag, diag[1:-1])), diag
+    return tuple(x for x in diag if x > 1)
+
+
+def test_group_of_graph_matches_sympy_past_the_minor_cap(random_multigraph):
+    # 9-48 vertices: too large for the minor-enumeration oracle
+    rng = random.Random(4242)
+    for trial in range(16):
+        vertices = rng.randint(9, 48)
+        g = random_multigraph(rng, vertices, rng.randint(1, 2 * vertices), 1 + trial % 3)
+        assert group_of_graph(g).invariant_factors == _sympy_group(g), trial
+
+
+def test_c4xcn_group_matches_sympy():
+    for n in range(3, 13):
+        assert group_of_graph(c4xcn(n)).invariant_factors == _sympy_group(c4xcn(n)), n
+
+
+def test_graph_routes_never_build_a_dense_laplacian(monkeypatch, random_multigraph):
+    # the group and Matrix-Tree routes read the sparse Laplacian only: no
+    # dense builder runs, and no dense matrix of |V| - 1 rows or more exists
+    rng = random.Random(4343)
+    g = random_multigraph(rng, 40, 50, 2)
+    cases = [
+        (c4xcn(20), closed_form_group(20), tree_count_closed(20)),
+        (g, group_of_graph(g), det_bareiss(laplacian(g).delete_row_col(0, 0))),
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense Laplacian built")
+
+    for module in (graph, critgroup, treecount):
+        for name in ("laplacian", "reduced_laplacian"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(SparseMatrix, "to_dense", refuse)
+    limit = [0]
+    real_init = IntegerMatrix.__init__
+
+    def bounded_init(self, rows):
+        real_init(self, rows)
+        if self.row_count >= limit[0]:
+            raise AssertionError(f"dense {self.row_count}-row matrix built")
+
+    monkeypatch.setattr(IntegerMatrix, "__init__", bounded_init)
+    for h, group, count in cases:
+        limit[0] = h.vertex_count - 1
+        assert group_of_graph(h) == group
+        assert tree_count_matrix(h) == count == group.order
 
 
 def test_group_of_graph_rejects_disconnected():

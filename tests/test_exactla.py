@@ -6,6 +6,7 @@ import pytest
 from critgraph.critgroup import relations_matrix
 from critgraph.exactla import (
     IntegerMatrix,
+    SparseMatrix,
     _eliminate_units,
     canonical_chain,
     det,
@@ -17,7 +18,7 @@ from critgraph.exactla import (
     parse_matrix,
     snf,
 )
-from critgraph.graph import c4xcn, cycle, laplacian
+from critgraph.graph import c4xcn, cycle, laplacian, sparse_laplacian
 
 
 def _det_cofactor(m: IntegerMatrix) -> int:
@@ -280,7 +281,7 @@ def test_det_matches_bareiss():
         rng.shuffle(m)
         cols = rng.sample(range(n), n)
         a = IntegerMatrix([[row[j] for j in cols] for row in m])
-        assert _eliminate_units(a.to_lists())[2] == []  # no core left
+        assert _eliminate_units(SparseMatrix.from_dense(a))[2] == []  # no core left
         assert det(a) == det_bareiss(a) in (1, -1), a
     assert singular > 20
     for x in (-3, -1, 0, 1, 7):
@@ -289,11 +290,42 @@ def test_det_matches_bareiss():
         det(IntegerMatrix([[1, 2]]))
 
 
+def test_sparse_matrix_round_trip_and_entry_points():
+    rng = random.Random(2004)
+    for trial in range(200):
+        a = _unit_heavy_matrix(rng, rng.randint(1, 9), rng.randint(1, 9))
+        s = SparseMatrix.from_dense(a)
+        assert (s.row_count, s.col_count, s.is_square) == (a.row_count, a.col_count, a.is_square)
+        assert all(s.rows[i] == {j: x for j, x in enumerate(a.row(i)) if x}
+                   for i in range(a.row_count))
+        assert s.to_dense() == a
+        assert snf(s) == snf(a), a
+        assert snf(s, want_transforms=True) == snf(a, want_transforms=True), a
+        if a.is_square:
+            assert det(s) == det(a) == det_bareiss(a), a
+    for rows, cols in (([], 1), ([{}], 0)):
+        with pytest.raises(ValueError):
+            SparseMatrix(rows, cols)
+    with pytest.raises(ValueError):
+        det(SparseMatrix([{0: 1, 1: 2}], 2))
+
+
+def test_unit_elimination_reads_without_writing():
+    # explicit zeros are dropped, and the input dicts stay as they were
+    rows = [{0: 2, 1: -1, 2: 0}, {0: -1, 1: 2, 2: -1}, {1: -1, 2: 1}]
+    before = [dict(r) for r in rows]
+    units, sign, core, peak = _eliminate_units(SparseMatrix(rows, 3))
+    assert rows == before
+    dense = IntegerMatrix([[2, -1, 0], [-1, 2, -1], [0, -1, 1]])
+    assert (units, sign, core, peak) == _eliminate_units(SparseMatrix.from_dense(dense))
+    assert units == 3 and core == [] and sign == det_bareiss(dense) == 1
+
+
 def test_unit_elimination_leaves_eight_generators():
     # C4 x Cn needs eight generators; the +-1 pre-pass should find them
     # rather than fall back to a large dense core
     for n in range(3, 61):
-        units, _, core, _ = _eliminate_units(laplacian(c4xcn(n)).to_lists())
+        units, _, core, _ = _eliminate_units(sparse_laplacian(c4xcn(n)))
         assert len(core) <= 8, (n, len(core))
         assert units == 4 * n - len(core)
 

@@ -11,6 +11,7 @@ from critgraph.graph import (
     laplacian,
     parse_edge_list,
     reduced_laplacian,
+    sparse_laplacian,
 )
 
 
@@ -121,6 +122,26 @@ def test_reduced_laplacian_is_the_laplacian_minor(random_multigraph):
     graphs += [random_multigraph(rng, v, v, 1 + v % 3) for v in range(2, 41, 3)]
     for g in graphs:
         assert reduced_laplacian(g) == laplacian(g).delete_row_col(0, 0), g
+
+
+def test_sparse_laplacian_matches_definition(random_multigraph):
+    # entry (i, j) is minus the multiplicity, the diagonal the degree, and
+    # a row holds its nonzero entries only
+    rng = random.Random(43)
+    graphs = [cycle(5), c4xcn(4), Multigraph(1), Multigraph(3, {(1, 2): 2})]
+    graphs += [random_multigraph(rng, v, 2 * v, 1 + v % 3) for v in range(2, 30, 4)]
+    for g in graphs:
+        n = g.vertex_count
+        for first in ((0, 1) if n > 1 else (0,)):
+            lap = sparse_laplacian(g, reduced=bool(first))
+            assert lap.row_count == lap.col_count == n - first
+            for i, row in enumerate(lap.rows):
+                u = i + first
+                expected = {v - first: -g.multiplicity(u, v) for v in range(first, n)}
+                expected[i] = g.degree(u)
+                assert row == {j: x for j, x in expected.items() if x}, (g, u)
+    with pytest.raises(ValueError):
+        sparse_laplacian(Multigraph(1), reduced=True)
 
 
 def test_parse_edge_list_basic():

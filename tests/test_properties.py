@@ -1,0 +1,81 @@
+"""Property tests: the sparse +-1 pre-pass reads dict rows in any entry
+order, with or without explicit zeros, and returns what the dense entry
+point (an IntegerMatrix, converted at the snf / det boundary) returns."""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from critgraph.exactla import (  # noqa: E402
+    IntegerMatrix,
+    SparseMatrix,
+    _eliminate_units,
+    det,
+    det_bareiss,
+    snf,
+)
+from critgraph.graph import Multigraph, laplacian, sparse_laplacian  # noqa: E402
+
+_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+_entries = st.one_of(
+    st.sampled_from([0, 0, 0, 1, -1]),
+    st.integers(-6, 6),
+    st.integers(-(10**30), 10**30),
+)
+
+
+@st.composite
+def _sparse_and_dense(draw):
+    """A dense matrix and the same matrix as dict rows whose entries come
+    in a drawn order, with some explicit zeros kept."""
+    nr = draw(st.integers(1, 10))
+    nc = draw(st.integers(1, 10))
+    dense = [[draw(_entries) for _ in range(nc)] for _ in range(nr)]
+    rows = []
+    for row in dense:
+        order = draw(st.permutations(range(nc)))
+        keep_zero = draw(st.lists(st.booleans(), min_size=nc, max_size=nc))
+        rows.append({j: row[j] for j in order if row[j] or keep_zero[j]})
+    return IntegerMatrix(dense), rows
+
+
+@st.composite
+def _multigraph(draw):
+    n = draw(st.integers(1, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.dictionaries(st.sampled_from(pairs), st.integers(1, 4))) if pairs else {}
+    return Multigraph(n, edges)
+
+
+@_SETTINGS
+@given(_sparse_and_dense())
+def test_prepass_on_dict_rows_matches_dense_entry(case):
+    a, rows = case
+    before = [dict(r) for r in rows]
+    s = SparseMatrix(rows, a.col_count)
+    result = _eliminate_units(s)
+    assert rows == before  # the input rows are only read
+    assert result == _eliminate_units(SparseMatrix.from_dense(a))
+    units, sign, core, peak = result
+    assert peak >= max(abs(x) for r in a.to_lists() for x in r).bit_length()
+    assert units + len(core) == a.row_count
+    assert snf(s) == snf(a)
+    if a.is_square:
+        assert det(s) == det(a) == det_bareiss(a)
+        assert det(a) == sign * (det_bareiss(IntegerMatrix(core)) if core else 1)
+    assert rows == before
+
+
+@_SETTINGS
+@given(_multigraph())
+def test_sparse_laplacian_prepass_matches_dense_laplacian(g):
+    for reduced in (False, True) if g.vertex_count > 1 else (False,):
+        s = sparse_laplacian(g, reduced=reduced)
+        before = [dict(r) for r in s.rows]
+        dense = laplacian(g) if not reduced else laplacian(g).delete_row_col(0, 0)
+        assert _eliminate_units(s) == _eliminate_units(SparseMatrix.from_dense(dense))
+        assert s.rows == before
+        assert snf(s) == snf(dense)
+        assert det(s) == det_bareiss(dense)

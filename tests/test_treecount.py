@@ -71,6 +71,9 @@ def test_trig_product_small_cases():
         trig_product_check(5, 0.0)
     with pytest.raises(ValueError):
         trig_product_check(5, -1e-9)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            trig_product_check(5, bad)
 
 
 def test_trig_product_direct_value():
