@@ -129,7 +129,7 @@ def _cmd_treecount(args: argparse.Namespace) -> int:
         status |= 0 if ok else 1
     if args.check in ("trig", "all"):
         report = trig_product_check(n, args.tolerance, count=count)
-        ok = bool(report.trig_passed)
+        ok = report.trig_passed
         checks.append({
             "name": "trig-product",
             "pass": ok,

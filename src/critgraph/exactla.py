@@ -348,9 +348,6 @@ def _dense_snf(m: list[list[int]], want_transforms: bool) -> SnfResult:
         if m[t][t] < 0:
             m[t] = [-x for x in m[t]]
 
-    _, final_peak = _min_abs_pivot(m, 0, nr, nc)
-    if final_peak > peak:
-        peak = final_peak
     diag = tuple(m[i][i] for i in range(min(nr, nc)))
     return SnfResult(
         diagonal=diag,

@@ -98,13 +98,19 @@ def cartesian_product(g1: Multigraph, g2: Multigraph) -> Multigraph:
     return Multigraph(n1 * n2, edges)
 
 
+def _require_c4xcn_n(n: int) -> None:
+    """Reject n < 3, for which C4 x Cn is not defined; every function of
+    the C4 x Cn family checks its n here."""
+    if n < 3:
+        raise ValueError(f"C4 x Cn needs n >= 3, got {n}")
+
+
 def c4xcn(n: int) -> Multigraph:
     """The prism-of-cycles C4 x Cn: n four-cycle layers, layer vertex
     (i, j) encoded as 4*i + j, joined ring-to-ring between consecutive
     layers.  4-regular with 8n edges; this is ``cartesian_product(cycle(4),
     cycle(n))``, whose vertex (j, i) is encoded as the same j + 4*i."""
-    if n < 3:
-        raise ValueError(f"C4 x Cn needs n >= 3, got {n}")
+    _require_c4xcn_n(n)
     return cartesian_product(cycle(4), cycle(n))
 
 
@@ -131,12 +137,6 @@ def laplacian(g: Multigraph) -> IntegerMatrix:
     """Dense view of :func:`sparse_laplacian`.  Symmetric with zero row
     sums."""
     return sparse_laplacian(g).to_dense()
-
-
-def reduced_laplacian(g: Multigraph) -> IntegerMatrix:
-    """Dense view of ``sparse_laplacian(g, reduced=True)``, the
-    Laplacian with row 0 and column 0 deleted."""
-    return sparse_laplacian(g, reduced=True).to_dense()
 
 
 def parse_edge_list(text: str) -> Multigraph:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .exactla import det
-from .graph import Multigraph, sparse_laplacian
+from .graph import Multigraph, _require_c4xcn_n, sparse_laplacian
 from .seq import parity_split
 
 
@@ -30,20 +30,17 @@ class TreeCountReport:
 
     n: int
     closed_form: int
-    trig_log_residual: Optional[float] = None
-    trig_tolerance: Optional[float] = None
+    trig_log_residual: float
+    trig_tolerance: float
 
     @property
-    def trig_passed(self) -> Optional[bool]:
-        if self.trig_log_residual is None or self.trig_tolerance is None:
-            return None
+    def trig_passed(self) -> bool:
         return abs(self.trig_log_residual) <= self.trig_tolerance
 
 
 def tree_count_closed(n: int) -> int:
     """Spanning-tree count of C4 x Cn in closed form."""
-    if n < 3:
-        raise ValueError(f"C4 x Cn needs n >= 3, got {n}")
+    _require_c4xcn_n(n)
     s, x, y = parity_split(n)
     return (4 * n if n % 2 else 2**8 * 3**2 * s) * x**4 * y**2
 

@@ -248,6 +248,13 @@ def test_graph_group_file(tmp_path, capsys):
     assert payload["invariant_factors"] == ["19", "19", "779", "15580"]
 
 
+def test_graph_group_tree_is_trivial(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n1 2\n1 3\n")
+    assert run(["graph-group", "--edges", str(path)]) == 0
+    assert capsys.readouterr().out == "trivial group\norder: 1\n"
+
+
 def test_graph_group_disconnected(tmp_path, capsys):
     path = tmp_path / "g.txt"
     path.write_text("0 1\n2 3\n")
@@ -336,6 +343,38 @@ def test_verify_bad_ranges(capsys):
     for bad in ("5", "8..3", "2..5", "a..b"):
         assert run(["verify", "--range", bad]) == 2
         capsys.readouterr()
+
+
+def test_verify_reports_failed_pipeline_stages(capsys, monkeypatch):
+    monkeypatch.setattr(critgroup, "_R1", critgroup.IntegerMatrix.identity(7))
+    assert run(["verify", "--range", "5..5", "--pipeline"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "n=5 FAIL (pipeline stages failed: seven-term-template, odd-block-split)\n"
+    )
+    assert "verified 5..5: 0/1 ok" in captured.err
+
+
+def test_verify_reports_a_three_way_disagreement(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "group_via_relations", lambda n: critgroup.AbelianGroup((2,)))
+    assert run(["verify", "--range", "5..5"]) == 1
+    assert capsys.readouterr().out == (
+        "n=5 FAIL (disagreement: closed (19, 19, 779, 15580), relations (2,), "
+        "laplacian (19, 19, 779, 15580))\n"
+    )
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["seq", "e", "--upto", "-1"], "--upto must be >= 0, got -1"),
+    (["valuations", "--upto", "1"], "--upto must be >= 2, got 1"),
+    (["subgroup", "2", "6"], "both n values must be >= 3"),
+    (["verify", "--range", "3..4", "--parallelism", "-1"], "--parallelism must be >= 0, got -1"),
+])
+def test_out_of_range_arguments_exit_two(capsys, argv, message):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"critgraph: error: {message}\n"
 
 
 def test_unknown_flag_exits_two(capsys):

@@ -214,9 +214,8 @@ def test_graph_routes_never_build_a_dense_laplacian(monkeypatch, random_multigra
         raise AssertionError("dense Laplacian built")
 
     for module in (graph, critgroup, treecount):
-        for name in ("laplacian", "reduced_laplacian"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
+        if hasattr(module, "laplacian"):
+            monkeypatch.setattr(module, "laplacian", refuse)
     monkeypatch.setattr(SparseMatrix, "to_dense", refuse)
     limit = [0]
     real_init = IntegerMatrix.__init__
@@ -289,6 +288,19 @@ def test_layer_expansion():
         assert verify_layer_expansion(n)
     with pytest.raises(ValueError):
         verify_layer_expansion(2)
+
+
+def test_layer_expansion_detects_a_wrong_circulant(monkeypatch):
+    real = critgroup._circulant_block
+
+    def off_by_one(i):
+        block = real(i)
+        if i == 3:
+            block[1][2] += 1
+        return block
+
+    monkeypatch.setattr(critgroup, "_circulant_block", off_by_one)
+    assert not verify_layer_expansion(5)
 
 
 # -- staged reduction fixtures and pipeline --------------------------------
@@ -395,7 +407,74 @@ def test_pipeline_small_sweep():
 
 
 def test_rank_one_split_matches_snf():
-    for n in (3, 4, 7, 10):
+    # the SNF-level fact that the pipeline's line-sum certificate implies
+    for n in range(3, 41):
         full = snf(relations_matrix(n)).diagonal
         inner = snf(relations_matrix(n).delete_row_col(0, 0)).diagonal
         assert full == inner + (0,)
+
+
+def test_pipeline_runs_one_snf_and_checks_fixtures_once(monkeypatch):
+    calls = {"snf": 0, "is_unimodular": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(critgroup, "snf", counted("snf", critgroup.snf))
+    monkeypatch.setattr(critgroup, "is_unimodular", counted("is_unimodular", is_unimodular))
+    critgroup._non_unimodular_fixtures.cache_clear()
+    try:
+        for n in (7, 8):
+            before = calls["snf"]
+            assert verify_reduction_pipeline(n).all_passed
+            assert calls["snf"] - before == 1, n
+    finally:
+        critgroup._non_unimodular_fixtures.cache_clear()
+    assert calls["is_unimodular"] <= 9
+
+
+def test_pipeline_records_a_wrong_stage_one_multiplier(monkeypatch):
+    # the identity is unimodular, so the final SNF still matches
+    monkeypatch.setattr(critgroup, "_R1", IntegerMatrix.identity(7))
+    failed = [name for name, _, _ in verify_reduction_pipeline(5).failures()]
+    assert failed == ["seven-term-template", "odd-block-split"]
+
+
+def test_pipeline_records_an_inexact_descale(monkeypatch):
+    def inexact(stage):
+        raise ArithmeticError("inexact division 3 / 2")
+
+    monkeypatch.setattr(critgroup, "_descale_even_stage", inexact)
+    report = verify_reduction_pipeline(6)
+    assert ("even-descale-exact", False, "inexact division 3 / 2") in report.stage_checks
+    assert [name for name, _, _ in report.failures()] == ["even-descale-exact"]
+
+
+def test_pipeline_rank_one_split_names_the_first_nonzero_line_sum(monkeypatch):
+    real = critgroup.relations_matrix
+
+    def corner_off_by_one(n):
+        rows = real(n).to_lists()
+        rows[0][0] += 1
+        return IntegerMatrix(rows)
+
+    monkeypatch.setattr(critgroup, "relations_matrix", corner_off_by_one)
+    report = verify_reduction_pipeline(5)
+    assert report.failures() == [
+        ("rank-one-split", False, "with rows 4-7 negated, row 0 sums to 1")
+    ]
+
+
+def test_pipeline_records_a_non_unimodular_fixture(monkeypatch):
+    monkeypatch.setitem(critgroup._FIXTURES, "U", IntegerMatrix.diagonal([2] + [1] * 6))
+    critgroup._non_unimodular_fixtures.cache_clear()
+    try:
+        report = verify_reduction_pipeline(5)
+    finally:
+        critgroup._non_unimodular_fixtures.cache_clear()
+    assert report.failures() == [
+        ("fixture-unimodularity", False, "non-unimodular fixtures: U")
+    ]

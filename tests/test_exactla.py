@@ -359,3 +359,5 @@ def test_matrix_text_errors():
         parse_matrix("2 2\n1 2 3 x")
     with pytest.raises(ValueError):
         parse_matrix("0 2\n")
+    with pytest.raises(ValueError, match="bad matrix header"):
+        parse_matrix("x 2\n1 2\n")

@@ -10,7 +10,6 @@ from critgraph.graph import (
     cycle,
     laplacian,
     parse_edge_list,
-    reduced_laplacian,
     sparse_laplacian,
 )
 
@@ -121,7 +120,7 @@ def test_reduced_laplacian_is_the_laplacian_minor(random_multigraph):
     ]
     graphs += [random_multigraph(rng, v, v, 1 + v % 3) for v in range(2, 41, 3)]
     for g in graphs:
-        assert reduced_laplacian(g) == laplacian(g).delete_row_col(0, 0), g
+        assert sparse_laplacian(g, reduced=True).to_dense() == laplacian(g).delete_row_col(0, 0), g
 
 
 def test_sparse_laplacian_matches_definition(random_multigraph):
@@ -181,9 +180,13 @@ def test_parse_edge_list_errors():
         parse_edge_list("0 1 2 3\n")
     with pytest.raises(ValueError):
         parse_edge_list("-1 0\n")
+    with pytest.raises(ValueError, match=r"^line 2: duplicate 'vertices' header"):
+        parse_edge_list("vertices 3\nvertices 3\n0 1\n")
 
 
-@pytest.mark.parametrize("header", ["vertices x", "vertices 2.5", "vertices 0", "vertices -3"])
+@pytest.mark.parametrize(
+    "header", ["vertices x", "vertices 2.5", "vertices 0", "vertices -3", "vertices 3 4"]
+)
 def test_parse_edge_list_bad_vertex_header_names_line(header):
     with pytest.raises(ValueError, match=r"^line 2: "):
         parse_edge_list(f"# comment\n{header}\n0 1\n")
