@@ -12,13 +12,17 @@ smaller dimension is at most 8.
 Without transforms, :func:`snf` and :func:`det` first run a sparse
 pre-pass, :func:`_eliminate_units`, that takes the +-1 pivots in
 Markowitz order; each is a unit invariant factor and a factor +-1 of the
-determinant.  The pre-pass reads a :class:`SparseMatrix`, dict rows of
-the nonzero entries; both entry points take one as it is and convert an
-``IntegerMatrix`` once.  Graph Laplacians, built sparse from their edges
-(``graph.sparse_laplacian``), mostly eliminate this way (C4 x Cn down to
-an 8 x 8 core), and only the core goes to the dense engine or to the
-Bareiss fraction-free elimination, which stays in the integers
-throughout.  The dense engine with transforms, and :func:`det_bareiss`
+determinant.  Its heap keys are lower bounds of the costs: an entry is
+queued again only where its cost can have fallen, and a popped key
+below the true cost is pushed back at that cost, so a key that equals
+its cost is the least cost left and the pivots are those of re-queueing
+every changed entry.  The pre-pass reads a :class:`SparseMatrix`, dict
+rows of the nonzero entries; both entry points take one as it is and
+convert an ``IntegerMatrix`` once.  Graph Laplacians, built sparse from
+their edges (``graph.sparse_laplacian``), mostly eliminate this way
+(C4 x Cn down to an 8 x 8 core), and only the core goes to the dense
+engine or to the Bareiss fraction-free elimination, which stays in the
+integers throughout.  The dense engine with transforms, and :func:`det_bareiss`
 on the whole matrix, are the oracles the pre-pass is tested against.
 
 ``SnfResult.peak_bit_length`` is the largest bit length of an entry the
@@ -33,6 +37,7 @@ import heapq
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -226,19 +231,18 @@ def _min_abs_pivot(
     m[t:nr, t:nc], and the largest bit length seen in that submatrix."""
     best: Optional[tuple[int, int]] = None
     best_abs = 0
-    peak = 0
+    top = 0
     for i in range(t, nr):
         row = m[i]
         for j in range(t, nc):
             x = row[j]
             if x:
                 ax = -x if x < 0 else x
-                bl = ax.bit_length()
-                if bl > peak:
-                    peak = bl
+                if ax > top:
+                    top = ax
                 if best is None or ax < best_abs:
                     best, best_abs = (i, j), ax
-    return best, peak
+    return best, top.bit_length()
 
 
 def _dense_snf(m: list[list[int]], want_transforms: bool) -> SnfResult:
@@ -277,13 +281,15 @@ def _dense_snf(m: list[list[int]], want_transforms: bool) -> SnfResult:
         m[t] = [aa * x + bb * y for x, y in zip(mt, mi)]
         m[i] = [cc * x + dd * y for x, y in zip(mt, mi)]
 
+    # rows above t are zero in every column >= t, so column operations
+    # skip them
     def col_sub(j: int, t: int, factor: int) -> None:
-        for row in m:
+        for row in m[t:]:
             row[j] -= factor * row[t]
 
     def cols_combine(t: int, j: int, aa: int, bb: int, cc: int, dd: int) -> None:
         # col_t <- aa*col_t + bb*col_j ; col_j <- cc*col_t + dd*col_j
-        for row in m:
+        for row in m[t:]:
             x, y = row[t], row[j]
             row[t] = aa * x + bb * y
             row[j] = cc * x + dd * y
@@ -320,7 +326,7 @@ def _dense_snf(m: list[list[int]], want_transforms: bool) -> SnfResult:
             break
         i, j = pos
         m[i], m[t] = m[t], m[i]
-        for row in m:
+        for row in m[t:]:
             row[j], row[t] = row[t], row[j]
 
         while True:
@@ -389,6 +395,22 @@ def _eliminate_units(a: SparseMatrix) -> tuple[int, int, list[list[int]], int]:
     Laplacian mostly eliminates this way with no gcd step (Dumas, Saunders
     & Villard, JSC 2001).
 
+    The queue holds items (key, row, column).  Its invariant: every +-1
+    entry has an item whose key is at most the entry's current cost.
+    After a pivot, a cost can fall only in a row of the pivot column that
+    lost entries or in a column of the pivot row that lost rows, so only
+    the +-1 entries there, and the entries the update wrote as +-1, are
+    pushed; a cost that rises keeps its old, lower key.  A popped item
+    whose row is gone or whose entry is not +-1 is dropped.  Otherwise
+    its true cost is recomputed: equal to the key, the entry is the
+    pivot; greater, the item is pushed back at the true cost; smaller,
+    it is dropped (by the invariant, a lower item of the entry would have
+    come off first, so this does not occur).  An item whose key equals
+    its cost is the least (cost, row, column) of all +-1 entries, since
+    every other entry has an item at or below its cost that would have
+    come off the heap first; so the pivots are those of re-queueing
+    every entry whose cost changed.
+
     Ties of cost go to the lowest row, then column, index.  The vertices
     of C4 x Cn are numbered layer by layer, so this sweeps along the cycle
     and leaves an 8 x 8 core (6 x 6 at n = 3), the paper's eight
@@ -417,8 +439,8 @@ def _eliminate_units(a: SparseMatrix) -> tuple[int, int, list[list[int]], int]:
                     hi = x
                 elif x < lo:
                     lo = x
-    # (cost, row, column) of the unit entries; an item goes stale when its
-    # entry or its cost changes, and the changed entry is queued again
+    # (key, row, column) items, key a lower bound of the entry's cost;
+    # every unit entry has an item keyed at or below its cost
     queue = [
         ((len(entries) - 1) * (len(cols[j]) - 1), i, j)
         for i, entries in rows.items()
@@ -431,23 +453,36 @@ def _eliminate_units(a: SparseMatrix) -> tuple[int, int, list[list[int]], int]:
     col_order: list[int] = []
     sign = 1
     while queue:
-        cost, i, j = pop(queue)
+        key, i, j = pop(queue)
         pivot_row = rows.get(i)
         if pivot_row is None:
             continue
         pivot = pivot_row.get(j)
-        if (pivot != 1 and pivot != -1) or cost != (len(pivot_row) - 1) * (len(cols[j]) - 1):
+        if pivot != 1 and pivot != -1:
+            continue
+        cost = (len(pivot_row) - 1) * (len(cols[j]) - 1)
+        if cost != key:
+            # the cost rose since the push (a cost below the key would
+            # have a lower item of its own queued)
+            if cost > key:
+                push(queue, (cost, i, j))
             continue
         del rows[i]
         del pivot_row[j]
         sign *= pivot
+        counts = []  # (column, its count before the pivot)
         for k in pivot_row:
-            cols[k].discard(i)
+            column = cols[k]
+            counts.append((k, len(column)))
+            column.discard(i)
         column = cols[j]
         cols[j] = set()
         column.discard(i)
+        shrunk_rows = set()
+        new_units = []
         for t in column:
             entries = rows[t]
+            length = len(entries)
             factor = entries.pop(j) * pivot  # entry / pivot, as pivot is +-1
             for k, y in pivot_row.items():
                 x = entries.get(k)
@@ -461,28 +496,40 @@ def _eliminate_units(a: SparseMatrix) -> tuple[int, int, list[list[int]], int]:
                         cols[k].discard(t)
                         continue
                 entries[k] = x
-                if x > hi:
+                # a unit never raises the peak: the input held a nonzero
+                if x == 1 or x == -1:
+                    new_units.append((t, k))
+                elif x > hi:
                     hi = x
                 elif x < lo:
                     lo = x
             if not entries:
                 del rows[t]
-        # rows in the pivot column and columns in the pivot row changed
-        for t in column:
-            entries = rows.get(t)
-            if entries:
-                r = len(entries) - 1
-                for k, x in entries.items():
-                    if x == 1 or x == -1:
-                        push(queue, (r * (len(cols[k]) - 1), t, k))
-        for k in pivot_row:
-            c = len(cols[k]) - 1
-            for t in cols[k]:
-                if t not in column:
-                    entries = rows[t]
-                    x = entries[k]
-                    if x == 1 or x == -1:
-                        push(queue, ((len(entries) - 1) * c, t, k))
+            elif len(entries) < length:
+                shrunk_rows.add(t)
+        # a cost falls only where a row or a column lost entries; queue
+        # the units there, and the units the update wrote
+        for t in shrunk_rows:
+            entries = rows[t]
+            r = len(entries) - 1
+            for k, x in entries.items():
+                if x == 1 or x == -1:
+                    push(queue, (r * (len(cols[k]) - 1), t, k))
+        shrunk_cols = set()
+        for k, before in counts:
+            column = cols[k]
+            if len(column) < before:
+                shrunk_cols.add(k)
+                c = len(column) - 1
+                for t in column:
+                    if t not in shrunk_rows:
+                        entries = rows[t]
+                        x = entries[k]
+                        if x == 1 or x == -1:
+                            push(queue, ((len(entries) - 1) * c, t, k))
+        for t, k in new_units:
+            if t not in shrunk_rows and k not in shrunk_cols:
+                push(queue, ((len(rows[t]) - 1) * (len(cols[k]) - 1), t, k))
         row_order.append(i)
         col_order.append(j)
     pivot_rows, pivot_cols = set(row_order), set(col_order)
@@ -640,6 +687,23 @@ def canonical_chain(factors: Sequence[int]) -> tuple[int, ...]:
     return tuple(chain)
 
 
+def _clip(text: str, width: int = 80) -> str:
+    """``text`` cut to ``width`` characters, for echoing input in an error."""
+    return text if len(text) <= width else text[: width - 3] + "..."
+
+
+def _digit_limit_error(token: str) -> Optional[str]:
+    """The reason ``int(token)`` failed when it is the interpreter's cap on
+    the digits of a decimal string (``sys.get_int_max_str_digits()``,
+    which bounds the quadratic-time conversion of untrusted input); None
+    for any other cause.  The cap itself is left as it is."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = token.lstrip("+-").replace("_", "")
+    if limit and len(digits) > limit and digits.isdecimal():
+        return f"integer field has {len(digits)} digits; input integers are limited to {limit} digits"
+    return None
+
+
 def parse_matrix(text: str) -> IntegerMatrix:
     """Parse the matrix text format: first line ``rows cols``, then
     row-major whitespace-separated integers (line breaks are free)."""
@@ -649,16 +713,24 @@ def parse_matrix(text: str) -> IntegerMatrix:
     try:
         nr, nc = int(tokens[0]), int(tokens[1])
     except ValueError as exc:
-        raise ValueError(f"bad matrix header: {tokens[0]!r} {tokens[1]!r}") from exc
+        reason = _digit_limit_error(tokens[0]) or _digit_limit_error(tokens[1])
+        if reason is None:
+            reason = f"{_clip(tokens[0])!r} {_clip(tokens[1])!r}"
+        raise ValueError(f"bad matrix header: {reason}") from exc
     if nr < 1 or nc < 1:
         raise ValueError("matrix dimensions must be positive")
     body = tokens[2:]
     if len(body) != nr * nc:
         raise ValueError(f"expected {nr * nc} entries, found {len(body)}")
-    try:
-        values = [int(tok) for tok in body]
-    except ValueError as exc:
-        raise ValueError("matrix entries must be integers") from exc
+    values = []
+    for k, tok in enumerate(body):
+        try:
+            values.append(int(tok))
+        except ValueError as exc:
+            reason = _digit_limit_error(tok)
+            if reason is None:
+                raise ValueError("matrix entries must be integers") from exc
+            raise ValueError(f"row {k // nc + 1}, column {k % nc + 1}: {reason}") from exc
     return IntegerMatrix([values[i * nc : (i + 1) * nc] for i in range(nr)])
 
 

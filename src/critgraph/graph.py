@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .exactla import IntegerMatrix, SparseMatrix
+from .exactla import IntegerMatrix, SparseMatrix, _clip, _digit_limit_error
 
 
 def _edge_key(u: int, v: int) -> tuple[int, int]:
@@ -163,19 +163,28 @@ def parse_edge_list(text: str) -> Multigraph:
             try:
                 vertex_count = int(parts[1])
             except ValueError as exc:
-                raise ValueError(f"line {lineno}: non-integer vertex count {parts[1]!r}") from exc
+                reason = _digit_limit_error(parts[1]) or f"non-integer vertex count {_clip(parts[1])!r}"
+                raise ValueError(f"line {lineno}: {reason}") from exc
             if vertex_count < 1:
-                raise ValueError(f"line {lineno}: vertex count must be >= 1, got {vertex_count}")
+                raise ValueError(
+                    f"line {lineno}: vertex count must be >= 1, got {_clip(str(vertex_count))}"
+                )
             continue
         if len(parts) not in (2, 3):
-            raise ValueError(f"line {lineno}: expected 'u v [multiplicity]', got {body!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-            mult = int(parts[2]) if len(parts) == 3 else 1
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: non-integer field in {body!r}") from exc
+            raise ValueError(f"line {lineno}: expected 'u v [multiplicity]', got {_clip(body)!r}")
+        fields = []
+        for part in parts:
+            try:
+                fields.append(int(part))
+            except ValueError as exc:
+                reason = _digit_limit_error(part) or f"non-integer field in {_clip(body)!r}"
+                raise ValueError(f"line {lineno}: {reason}") from exc
+        u, v = fields[0], fields[1]
+        mult = fields[2] if len(fields) == 3 else 1
         if u < 0 or v < 0:
             raise ValueError(f"line {lineno}: vertex ids must be >= 0")
+        if mult < 1:
+            raise ValueError(f"line {lineno}: multiplicity must be >= 1, got {_clip(parts[2])}")
         raw_edges.append((u, v, mult))
         max_id = max(max_id, u, v)
     if vertex_count is None:

@@ -270,6 +270,62 @@ def test_graph_group_bad_vertex_header(tmp_path, capsys):
         assert "error: line 1: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "text, line, got",
+    [("0 1 3\n0 1 -1\n1 2\n", 2, "-1"), ("0 1 3\n0 1 -3\n1 2\n", 2, "-3"), ("1 2\n0 1 0\n", 2, "0")],
+    ids=["negative", "total-zero", "zero"],
+)
+def test_graph_group_rejects_a_line_of_multiplicity_below_one(tmp_path, capsys, json_flag, text, line, got):
+    # no line may thin out an edge given earlier, whatever the pair's total
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    assert run(["graph-group", "--edges", str(path), *json_flag]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"critgraph: error: line {line}: multiplicity must be >= 1, got {got}\n"
+
+
+def _over_digit_limit():
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        pytest.skip("the interpreter has no digit limit on integer strings")
+    return limit, "7" * (limit + 700)
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "command, text, where",
+    [
+        ("snf", "2 2\n1 0\n0 {big}\n", "row 2, column 2"),
+        ("graph-group", "vertices 3\n0 1\n1 2 {big}\n", "line 3"),
+        ("graph-group", "# header\nvertices {big}\n0 1\n", "line 2"),
+    ],
+    ids=["matrix-entry", "multiplicity", "vertex-count"],
+)
+def test_input_integer_over_the_digit_limit_names_the_cap(tmp_path, capsys, json_flag, command, text, where):
+    limit, big = _over_digit_limit()
+    path = tmp_path / "input.txt"
+    path.write_text(text.format(big=big))
+    option = "--matrix" if command == "snf" else "--edges"
+    assert run([command, option, str(path), *json_flag]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"critgraph: error: {where}: integer field has {len(big)} digits; "
+        f"input integers are limited to {limit} digits\n"
+    )
+
+
+def test_edge_list_errors_clip_the_echoed_line(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    for text in ("0 1 " + "x" * 5000, "0 1 2 " + "3" * 5000):
+        path.write_text(text + "\n")
+        assert run(["graph-group", "--edges", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("critgraph: error: line 1: ") and len(err) < 160, err
+
+
 def test_graph_group_rejects_graph_over_vertex_cap(tmp_path, capsys, monkeypatch):
     # the cap is checked before the Laplacian is built
     def no_laplacian(graph, **kwargs):

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import random
 
@@ -319,6 +320,99 @@ def test_unit_elimination_reads_without_writing():
     dense = IntegerMatrix([[2, -1, 0], [-1, 2, -1], [0, -1, 1]])
     assert (units, sign, core, peak) == _eliminate_units(SparseMatrix.from_dense(dense))
     assert units == 3 and core == [] and sign == det_bareiss(dense) == 1
+
+
+def _reference_prepass(a: SparseMatrix):
+    """Brute-force +-1 pre-pass, the oracle of ``_eliminate_units``: every
+    step rescans every +-1 entry and takes the least (Markowitz cost,
+    row, column), with dict rows and no heap.  Returns the same
+    ``(units, sign, core, peak)``."""
+    rows = {i: {j: x for j, x in r.items() if x} for i, r in enumerate(a.rows)}
+    rows = {i: r for i, r in rows.items() if r}
+    peak = max((abs(x).bit_length() for r in rows.values() for x in r.values()), default=0)
+    row_order, col_order, sign = [], [], 1
+    while True:
+        counts = {}
+        for r in rows.values():
+            for j in r:
+                counts[j] = counts.get(j, 0) + 1
+        units = [
+            ((len(r) - 1) * (counts[j] - 1), i, j)
+            for i, r in rows.items()
+            for j, x in r.items()
+            if abs(x) == 1
+        ]
+        if not units:
+            break
+        _, i, j = min(units)
+        pivot_row = rows.pop(i)
+        pivot = pivot_row.pop(j)
+        sign *= pivot
+        for t in [t for t, r in rows.items() if j in r]:
+            r = rows[t]
+            factor = r.pop(j) * pivot
+            for k, y in pivot_row.items():
+                x = r.get(k, 0) - factor * y
+                if x:
+                    r[k] = x
+                    peak = max(peak, abs(x).bit_length())
+                else:
+                    r.pop(k, None)
+            if not r:
+                del rows[t]
+        row_order.append(i)
+        col_order.append(j)
+    rest_rows = [i for i in range(a.row_count) if i not in row_order]
+    rest_cols = [j for j in range(a.col_count) if j not in col_order]
+    for order in (row_order + rest_rows, col_order + rest_cols):
+        inversions = sum(x > y for x, y in itertools.combinations(order, 2))
+        sign *= (-1) ** inversions
+    core = [[rows.get(i, {}).get(j, 0) for j in rest_cols] for i in rest_rows]
+    return len(row_order), sign, core, peak
+
+
+def _cancelling_matrix(rng, rows, cols):
+    """Unit-heavy entries in {-2..2}, so that updates often cancel an
+    entry to 0 and write new +-1 entries."""
+    return IntegerMatrix(
+        [[rng.choice((0, 0, 1, -1, 1, -1, 2, -2)) for _ in range(cols)] for _ in range(rows)]
+    )
+
+
+def test_prepass_pivots_match_brute_force_reference(random_multigraph):
+    cases = []
+    for n in range(3, 31):
+        g = c4xcn(n)
+        cases += [sparse_laplacian(g), sparse_laplacian(g, reduced=True)]
+    rng = random.Random(2005)
+    for trial in range(40):
+        vertices = rng.randint(2, 40)
+        g = random_multigraph(rng, vertices, rng.randint(0, 2 * vertices), 1 + trial % 3)
+        cases += [sparse_laplacian(g), sparse_laplacian(g, reduced=True)]
+    for trial in range(300):
+        shape = rng.randint(1, 14), rng.randint(1, 14)
+        make = _cancelling_matrix if trial % 2 else _unit_heavy_matrix
+        cases.append(SparseMatrix.from_dense(make(rng, *shape)))
+    for a in cases:
+        assert _eliminate_units(a) == _reference_prepass(a), a.to_dense()
+
+
+def test_prepass_queue_pushes_only_what_can_fall(monkeypatch):
+    # keys are lower bounds of the Markowitz cost, so entries whose cost
+    # did not fall are not queued again (the eager re-queue made 3510
+    # pushes here)
+    pushes = 0
+    heappush = heapq.heappush
+
+    def counting_push(queue, item):
+        nonlocal pushes
+        pushes += 1
+        heappush(queue, item)
+
+    monkeypatch.setattr(heapq, "heappush", counting_push)
+    units, _, core, _ = _eliminate_units(sparse_laplacian(c4xcn(64)))
+    assert (units, len(core)) == (248, 8)
+    assert 0 < pushes <= 2000
 
 
 def test_unit_elimination_leaves_eight_generators():

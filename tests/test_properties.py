@@ -1,6 +1,7 @@
 """Property tests: the sparse +-1 pre-pass reads dict rows in any entry
 order, with or without explicit zeros, and returns what the dense entry
-point (an IntegerMatrix, converted at the snf / det boundary) returns."""
+point (an IntegerMatrix, converted at the snf / det boundary) returns;
+its pivots are those of a brute-force rescan of every +-1 entry."""
 
 import pytest
 
@@ -16,6 +17,7 @@ from critgraph.exactla import (  # noqa: E402
     snf,
 )
 from critgraph.graph import Multigraph, laplacian, sparse_laplacian  # noqa: E402
+from test_exactla import _reference_prepass  # noqa: E402
 
 _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -79,3 +81,11 @@ def test_sparse_laplacian_prepass_matches_dense_laplacian(g):
         assert s.rows == before
         assert snf(s) == snf(dense)
         assert det(s) == det_bareiss(dense)
+
+
+@_SETTINGS
+@given(_sparse_and_dense())
+def test_prepass_matches_brute_force_reference(case):
+    a, rows = case
+    s = SparseMatrix(rows, a.col_count)
+    assert _eliminate_units(s) == _reference_prepass(s)
