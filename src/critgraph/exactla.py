@@ -10,20 +10,20 @@ oracle is combinatorially expensive and is capped at matrices whose
 smaller dimension is at most 8.
 
 Without transforms, :func:`snf` and :func:`det` first run a sparse
-pre-pass, :func:`_eliminate_units`, that takes the +-1 pivots in
-Markowitz order; each is a unit invariant factor and a factor +-1 of the
-determinant.  Its heap keys are lower bounds of the costs: an entry is
-queued again only where its cost can have fallen, and a popped key
-below the true cost is pushed back at that cost, so a key that equals
-its cost is the least cost left and the pivots are those of re-queueing
-every changed entry.  The pre-pass reads a :class:`SparseMatrix`, dict
-rows of the nonzero entries; both entry points take one as it is and
-convert an ``IntegerMatrix`` once.  Graph Laplacians, built sparse from
-their edges (``graph.sparse_laplacian``), mostly eliminate this way
-(C4 x Cn down to an 8 x 8 core), and only the core goes to the dense
-engine or to the Bareiss fraction-free elimination, which stays in the
-integers throughout.  The dense engine with transforms, and :func:`det_bareiss`
-on the whole matrix, are the oracles the pre-pass is tested against.
+pre-pass, :func:`_eliminate_units`, that takes the +-1 pivots from the
+shortest row that holds one, in the column with the fewest entries; each
+is a unit invariant factor and a factor +-1 of the determinant.  Its heap
+holds (row length, row) items: a row's length changes only when an
+update touches it, so each touched row is pushed once, and a popped item
+whose length is out of date is dropped.  The pre-pass reads a
+:class:`SparseMatrix`, dict rows of the nonzero entries; both entry
+points take one as it is and convert an ``IntegerMatrix`` once.  Graph
+Laplacians, built sparse from their edges (``graph.sparse_laplacian``),
+mostly eliminate this way (C4 x Cn down to an 8 x 8 core), and only the
+core goes to the dense engine or to the Bareiss fraction-free
+elimination, which stays in the integers throughout.  The dense engine
+with transforms, and :func:`det_bareiss` on the whole matrix, are the
+oracles the pre-pass is tested against.
 
 ``SnfResult.peak_bit_length`` is the largest bit length of an entry the
 SNF held: with transforms, what the dense pivot scans saw (the input and
@@ -384,38 +384,30 @@ def _eliminate_units(a: SparseMatrix) -> tuple[int, int, list[list[int]], int]:
     of a dense engine that then runs on the small core that is left.
 
     The rows are copied (zero entries dropped), and an index from each
-    column to the rows that have an entry there is built.  While the
-    remaining rows and columns hold a +-1 entry, the one of least
-    Markowitz cost (r-1)(c-1), r and c the nonzero counts of its row and
-    column, becomes the pivot: a multiple of the pivot row is subtracted from every other
-    row with an entry in the pivot column, then the pivot row and column
-    are dropped, since column operations clear the rest of the pivot row
-    without touching any other row.  Each pivot is one unit invariant
-    factor.  Laplacian off-diagonal entries are units, so a graph
-    Laplacian mostly eliminates this way with no gcd step (Dumas, Saunders
-    & Villard, JSC 2001).
+    column to the rows that have an entry there is built.  While a
+    remaining row holds a +-1 entry, the shortest such row is the pivot
+    row, and its +-1 entry in the column with the fewest entries is the
+    pivot (the row-count form of Markowitz ordering: Tinney & Walker,
+    Proc. IEEE 1967).  A multiple of the pivot row is subtracted from
+    every other row with an entry in the pivot column, then the pivot row
+    and column are dropped, since column operations clear the rest of the
+    pivot row without touching any other row.  Each pivot is one unit
+    invariant factor.  Laplacian off-diagonal entries are units, so a
+    graph Laplacian mostly eliminates this way with no gcd step (Dumas,
+    Saunders & Villard, JSC 2001).
 
-    The queue holds items (key, row, column).  Its invariant: every +-1
-    entry has an item whose key is at most the entry's current cost.
-    After a pivot, a cost can fall only in a row of the pivot column that
-    lost entries or in a column of the pivot row that lost rows, so only
-    the +-1 entries there, and the entries the update wrote as +-1, are
-    pushed; a cost that rises keeps its old, lower key.  A popped item
-    whose row is gone or whose entry is not +-1 is dropped.  Otherwise
-    its true cost is recomputed: equal to the key, the entry is the
-    pivot; greater, the item is pushed back at the true cost; smaller,
-    it is dropped (by the invariant, a lower item of the entry would have
-    come off first, so this does not occur).  An item whose key equals
-    its cost is the least (cost, row, column) of all +-1 entries, since
-    every other entry has an item at or below its cost that would have
-    come off the heap first; so the pivots are those of re-queueing
-    every entry whose cost changed.
+    The queue holds items (row length, row).  A row changes only when an
+    update touches it, so each touched row is pushed once, at its new
+    length, and every row holding a +-1 entry keeps an item at its
+    current length.  A popped item whose row is gone or whose length is
+    out of date is dropped, and so is a row with no +-1 entry; it is
+    pushed again when an update next writes to it.  The first item that
+    survives is the least (length, row) of the rows holding a +-1 entry.
 
-    Ties of cost go to the lowest row, then column, index.  The vertices
-    of C4 x Cn are numbered layer by layer, so this sweeps along the cycle
+    Ties go to the lowest row, then column, index.  The vertices of
+    C4 x Cn are numbered layer by layer, so this sweeps along the cycle
     and leaves an 8 x 8 core (6 x 6 at n = 3), the paper's eight
-    generators; ties broken at random leave cores of 12 to 50 rows at
-    n = 32..64.
+    generators.
 
     Returns ``(units, sign, core, peak)``: the number of pivots; a sign
     such that det(a) = sign * det(core) when a is square (the pivots and
@@ -427,62 +419,44 @@ def _eliminate_units(a: SparseMatrix) -> tuple[int, int, list[list[int]], int]:
     nr, nc = a.row_count, a.col_count
     rows: dict[int, dict[int, int]] = {}
     cols: list[set[int]] = [set() for _ in range(nc)]
+    queue = []
     # the largest and the smallest entry held, for the peak bit length
     hi = lo = 0
     for i, row in enumerate(a.rows):
         entries = {j: x for j, x in row.items() if x}
         if entries:
             rows[i] = entries
+            queue.append((len(entries), i))
             for j, x in entries.items():
                 cols[j].add(i)
                 if x > hi:
                     hi = x
                 elif x < lo:
                     lo = x
-    # (key, row, column) items, key a lower bound of the entry's cost;
-    # every unit entry has an item keyed at or below its cost
-    queue = [
-        ((len(entries) - 1) * (len(cols[j]) - 1), i, j)
-        for i, entries in rows.items()
-        for j, x in entries.items()
-        if x == 1 or x == -1
-    ]
     heapq.heapify(queue)
     push, pop = heapq.heappush, heapq.heappop
     row_order: list[int] = []
     col_order: list[int] = []
     sign = 1
     while queue:
-        key, i, j = pop(queue)
+        length, i = pop(queue)
         pivot_row = rows.get(i)
-        if pivot_row is None:
+        if pivot_row is None or len(pivot_row) != length:
             continue
-        pivot = pivot_row.get(j)
-        if pivot != 1 and pivot != -1:
+        units = [(len(cols[k]), k) for k, x in pivot_row.items() if x == 1 or x == -1]
+        if not units:
             continue
-        cost = (len(pivot_row) - 1) * (len(cols[j]) - 1)
-        if cost != key:
-            # the cost rose since the push (a cost below the key would
-            # have a lower item of its own queued)
-            if cost > key:
-                push(queue, (cost, i, j))
-            continue
+        j = min(units)[1]
         del rows[i]
-        del pivot_row[j]
+        pivot = pivot_row.pop(j)
         sign *= pivot
-        counts = []  # (column, its count before the pivot)
         for k in pivot_row:
-            column = cols[k]
-            counts.append((k, len(column)))
-            column.discard(i)
+            cols[k].discard(i)
         column = cols[j]
         cols[j] = set()
         column.discard(i)
-        shrunk_rows = set()
-        new_units = []
         for t in column:
             entries = rows[t]
-            length = len(entries)
             factor = entries.pop(j) * pivot  # entry / pivot, as pivot is +-1
             for k, y in pivot_row.items():
                 x = entries.get(k)
@@ -496,40 +470,14 @@ def _eliminate_units(a: SparseMatrix) -> tuple[int, int, list[list[int]], int]:
                         cols[k].discard(t)
                         continue
                 entries[k] = x
-                # a unit never raises the peak: the input held a nonzero
-                if x == 1 or x == -1:
-                    new_units.append((t, k))
-                elif x > hi:
+                if x > hi:
                     hi = x
                 elif x < lo:
                     lo = x
-            if not entries:
+            if entries:
+                push(queue, (len(entries), t))
+            else:
                 del rows[t]
-            elif len(entries) < length:
-                shrunk_rows.add(t)
-        # a cost falls only where a row or a column lost entries; queue
-        # the units there, and the units the update wrote
-        for t in shrunk_rows:
-            entries = rows[t]
-            r = len(entries) - 1
-            for k, x in entries.items():
-                if x == 1 or x == -1:
-                    push(queue, (r * (len(cols[k]) - 1), t, k))
-        shrunk_cols = set()
-        for k, before in counts:
-            column = cols[k]
-            if len(column) < before:
-                shrunk_cols.add(k)
-                c = len(column) - 1
-                for t in column:
-                    if t not in shrunk_rows:
-                        entries = rows[t]
-                        x = entries[k]
-                        if x == 1 or x == -1:
-                            push(queue, ((len(entries) - 1) * c, t, k))
-        for t, k in new_units:
-            if t not in shrunk_rows and k not in shrunk_cols:
-                push(queue, ((len(rows[t]) - 1) * (len(cols[k]) - 1), t, k))
         row_order.append(i)
         col_order.append(j)
     pivot_rows, pivot_cols = set(row_order), set(col_order)
@@ -721,7 +669,9 @@ def parse_matrix(text: str) -> IntegerMatrix:
         raise ValueError("matrix dimensions must be positive")
     body = tokens[2:]
     if len(body) != nr * nc:
-        raise ValueError(f"expected {nr * nc} entries, found {len(body)}")
+        # the product is compared, never printed: its digits can pass the limit
+        header = f"{_clip(tokens[0])} {_clip(tokens[1])}"
+        raise ValueError(f"matrix header '{header}' does not match the {len(body)} entries that follow")
     values = []
     for k, tok in enumerate(body):
         try:

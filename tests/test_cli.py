@@ -317,6 +317,20 @@ def test_input_integer_over_the_digit_limit_names_the_cap(tmp_path, capsys, json
     )
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_matrix_header_whose_product_passes_the_digit_limit(tmp_path, capsys, json_flag):
+    # each dimension is under the limit, their product's digits are not
+    limit, _ = _over_digit_limit()
+    side = "9" * (limit * 2 // 3)
+    path = tmp_path / "m.txt"
+    path.write_text(f"{side} {side}\n1 2 3\n")
+    assert run(["snf", "--matrix", str(path), *json_flag]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    header = f"{side[:77]}... {side[:77]}..."
+    assert err == f"critgraph: error: matrix header '{header}' does not match the 3 entries that follow\n"
+
+
 def test_edge_list_errors_clip_the_echoed_line(tmp_path, capsys):
     path = tmp_path / "g.txt"
     for text in ("0 1 " + "x" * 5000, "0 1 2 " + "3" * 5000):

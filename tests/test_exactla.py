@@ -322,29 +322,27 @@ def test_unit_elimination_reads_without_writing():
     assert units == 3 and core == [] and sign == det_bareiss(dense) == 1
 
 
-def _reference_prepass(a: SparseMatrix):
+def _reference_prepass(a: SparseMatrix, touched=None):
     """Brute-force +-1 pre-pass, the oracle of ``_eliminate_units``: every
-    step rescans every +-1 entry and takes the least (Markowitz cost,
-    row, column), with dict rows and no heap.  Returns the same
-    ``(units, sign, core, peak)``."""
+    step rescans every row for the least (row length, row) among the rows
+    holding a +-1 entry, then that row's +-1 entry of least (column count,
+    column), with dict rows and no heap.  Returns the same
+    ``(units, sign, core, peak)``; a ``touched`` list gets one entry per
+    row an update leaves nonempty."""
     rows = {i: {j: x for j, x in r.items() if x} for i, r in enumerate(a.rows)}
     rows = {i: r for i, r in rows.items() if r}
     peak = max((abs(x).bit_length() for r in rows.values() for x in r.values()), default=0)
     row_order, col_order, sign = [], [], 1
     while True:
+        candidates = [(len(r), i) for i, r in rows.items() if any(abs(x) == 1 for x in r.values())]
+        if not candidates:
+            break
+        _, i = min(candidates)
         counts = {}
         for r in rows.values():
             for j in r:
                 counts[j] = counts.get(j, 0) + 1
-        units = [
-            ((len(r) - 1) * (counts[j] - 1), i, j)
-            for i, r in rows.items()
-            for j, x in r.items()
-            if abs(x) == 1
-        ]
-        if not units:
-            break
-        _, i, j = min(units)
+        _, j = min((counts[j], j) for j, x in rows[i].items() if abs(x) == 1)
         pivot_row = rows.pop(i)
         pivot = pivot_row.pop(j)
         sign *= pivot
@@ -360,6 +358,8 @@ def _reference_prepass(a: SparseMatrix):
                     r.pop(k, None)
             if not r:
                 del rows[t]
+            elif touched is not None:
+                touched.append(t)
         row_order.append(i)
         col_order.append(j)
     rest_rows = [i for i in range(a.row_count) if i not in row_order]
@@ -398,9 +398,8 @@ def test_prepass_pivots_match_brute_force_reference(random_multigraph):
 
 
 def test_prepass_queue_pushes_only_what_can_fall(monkeypatch):
-    # keys are lower bounds of the Markowitz cost, so entries whose cost
-    # did not fall are not queued again (the eager re-queue made 3510
-    # pushes here)
+    # a row's length changes only when an update touches it, so each
+    # touched row is pushed once and no other item is ever pushed
     pushes = 0
     heappush = heapq.heappush
 
@@ -409,10 +408,26 @@ def test_prepass_queue_pushes_only_what_can_fall(monkeypatch):
         pushes += 1
         heappush(queue, item)
 
+    a = sparse_laplacian(c4xcn(64))
+    touched = []
+    _reference_prepass(a, touched)
     monkeypatch.setattr(heapq, "heappush", counting_push)
-    units, _, core, _ = _eliminate_units(sparse_laplacian(c4xcn(64)))
+    units, _, core, _ = _eliminate_units(a)
     assert (units, len(core)) == (248, 8)
-    assert 0 < pushes <= 2000
+    assert len(touched) == 1648
+    assert 0 < pushes <= len(touched)
+
+
+def test_prepass_pivots_on_the_shortest_row_not_the_least_markowitz_cost():
+    # row 0 is the shortest row holding a unit, and its unit (0, 1) costs
+    # (2-1)(4-1) = 3; the unit (3, 0) costs (3-1)(2-1) = 2.  Pivoting on
+    # (3, 0) instead would leave the core [[4, 0, 9], [2, 0, 0], [2, 0, 0]]
+    # with sign +1 and peak 4.
+    a = SparseMatrix.from_dense(
+        IntegerMatrix([[3, 1, 0, 0], [0, 2, 0, 0], [0, 2, 0, 0], [-1, 1, 0, 3]])
+    )
+    core = [[-6, 0, 0], [-6, 0, 0], [-4, 0, 3]]
+    assert _eliminate_units(a) == _reference_prepass(a) == (1, -1, core, 3)
 
 
 def test_unit_elimination_leaves_eight_generators():

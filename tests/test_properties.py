@@ -1,13 +1,17 @@
 """Property tests: the sparse +-1 pre-pass reads dict rows in any entry
 order, with or without explicit zeros, and returns what the dense entry
 point (an IntegerMatrix, converted at the snf / det boundary) returns;
-its pivots are those of a brute-force rescan of every +-1 entry."""
+its pivots are those of a brute-force rescan of every row.  The critical
+group and the tree count of a connected multigraph do not depend on how
+its vertices are numbered, which changes the pivot order, and the group's
+order is the Bareiss determinant of the reduced Laplacian."""
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from critgraph.critgroup import group_of_graph  # noqa: E402
 from critgraph.exactla import (  # noqa: E402
     IntegerMatrix,
     SparseMatrix,
@@ -17,6 +21,7 @@ from critgraph.exactla import (  # noqa: E402
     snf,
 )
 from critgraph.graph import Multigraph, laplacian, sparse_laplacian  # noqa: E402
+from critgraph.treecount import tree_count_matrix  # noqa: E402
 from test_exactla import _reference_prepass  # noqa: E402
 
 _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -89,3 +94,28 @@ def test_prepass_matches_brute_force_reference(case):
     a, rows = case
     s = SparseMatrix(rows, a.col_count)
     assert _eliminate_units(s) == _reference_prepass(s)
+
+
+@st.composite
+def _relabelled_multigraph(draw):
+    """A connected multigraph of 2-14 vertices (a drawn spanning tree, then
+    drawn extra edges) and the same graph with its vertices permuted."""
+    n = draw(st.integers(2, 14))
+    edges = {(draw(st.integers(0, v - 1)), v): draw(st.integers(1, 3)) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    extra = draw(st.dictionaries(st.sampled_from(pairs), st.integers(1, 3), max_size=2 * n))
+    for key, mult in extra.items():
+        edges[key] = edges.get(key, 0) + mult
+    perm = draw(st.permutations(range(n)))
+    relabelled = {(perm[u], perm[v]): mult for (u, v), mult in edges.items()}
+    return Multigraph(n, edges), Multigraph(n, relabelled)
+
+
+@_SETTINGS
+@given(_relabelled_multigraph())
+def test_group_and_tree_count_ignore_vertex_labels(case):
+    g, h = case
+    group = group_of_graph(g)
+    assert group_of_graph(h) == group
+    assert tree_count_matrix(h) == tree_count_matrix(g) == group.order
+    assert group.order == det_bareiss(laplacian(g).delete_row_col(0, 0))
