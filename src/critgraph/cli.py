@@ -34,7 +34,7 @@ from .critgroup import (
     group_via_relations,
     verify_reduction_pipeline,
 )
-from .exactla import parse_matrix, snf
+from .exactla import _clip, _read_int, parse_matrix, snf
 from .graph import c4xcn, parse_edge_list
 from .seq import SeqKind, _valuation_rule, derived_prefix, observed_valuation, u_prefix, v_prefix
 from .treecount import tree_count_closed, tree_count_matrix, trig_product_check
@@ -81,16 +81,26 @@ def _emit_group(args: argparse.Namespace, group, **fields: str) -> int:
     return 0
 
 
+def _int_argument(text: str) -> int:
+    """argparse ``type`` of every integer argument: the shared reader, whose
+    bounded cause argparse prints as ``argument n: <cause>``."""
+    try:
+        return _read_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _require_n(n: int) -> int:
     if n < _MIN_N:
-        raise _UsageError(f"n must be >= {_MIN_N}, got {n}")
+        raise _UsageError(f"n must be >= {_MIN_N}, got {_clip(str(n))}")
     return n
 
 
 def _require_laplacian_size(n: int) -> None:
+    # 4n is not printed: its digits can pass the limit of str()
     if 4 * n > MAX_GRAPH_VERTICES:
         raise _UsageError(
-            f"n = {n} needs a {4 * n}-vertex Laplacian; the full-Laplacian route handles "
+            f"n = {_clip(str(n))}: C4 x Cn has 4n vertices; the full-Laplacian route handles "
             f"at most {MAX_GRAPH_VERTICES} vertices (n <= {MAX_GRAPH_VERTICES // 4})"
         )
 
@@ -150,7 +160,7 @@ def _cmd_treecount(args: argparse.Namespace) -> int:
 def _cmd_seq(args: argparse.Namespace) -> int:
     kind, upto, m = args.kind, args.upto, args.m
     if upto < 0:
-        raise _UsageError(f"--upto must be >= 0, got {upto}")
+        raise _UsageError(f"--upto must be >= 0, got {_clip(str(upto))}")
     if kind in ("u", "v"):
         if m is None:
             raise _UsageError(f"sequence kind '{kind}' requires --m")
@@ -176,7 +186,7 @@ def _cmd_seq(args: argparse.Namespace) -> int:
 def _cmd_valuations(args: argparse.Namespace) -> int:
     upto = args.upto
     if upto < 2:
-        raise _UsageError(f"--upto must be >= 2, got {upto}")
+        raise _UsageError(f"--upto must be >= 2, got {_clip(str(upto))}")
     e = derived_prefix(SeqKind.E, upto + 1)
     f = derived_prefix(SeqKind.F, upto + 1)
     families = [
@@ -253,20 +263,17 @@ def _read_file(path: str) -> str:
 
 
 def _cmd_snf(args: argparse.Namespace) -> int:
-    result = snf(parse_matrix(_read_file(args.matrix)))
-    payload = {
-        "command": "snf",
-        "diagonal": [str(d) for d in result.diagonal],
-    }
-    _emit(payload, args, ["diagonal: " + " ".join(str(d) for d in result.diagonal)])
+    diagonal = [str(d) for d in snf(parse_matrix(_read_file(args.matrix))).diagonal]
+    _emit({"command": "snf", "diagonal": diagonal}, args, ["diagonal: " + " ".join(diagonal)])
     return 0
 
 
 def _cmd_graph_group(args: argparse.Namespace) -> int:
     graph = parse_edge_list(_read_file(args.edges))
     if graph.vertex_count > MAX_GRAPH_VERTICES:
+        # the count is not printed: it can pass the digit limit of str()
         raise _UsageError(
-            f"graph has {graph.vertex_count} vertices; graph-group handles at most "
+            f"graph has more than {MAX_GRAPH_VERTICES} vertices; graph-group handles at most "
             f"{MAX_GRAPH_VERTICES} (core SNF time)"
         )
     return _emit_group(args, group_of_graph(graph))
@@ -296,7 +303,7 @@ def _verify_single(n: int, pipeline: bool) -> tuple[int, bool, str]:
 def _cmd_verify(args: argparse.Namespace) -> int:
     workers = args.parallelism
     if workers < 0:
-        raise _UsageError(f"--parallelism must be >= 0, got {workers}")
+        raise _UsageError(f"--parallelism must be >= 0, got {_clip(str(workers))}")
     lo, hi = _parse_range(args.range)
     _require_laplacian_size(hi)
     ns = list(range(lo, hi + 1))
@@ -333,15 +340,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _parse_range(text: str) -> tuple[int, int]:
     parts = text.split("..")
     if len(parts) != 2:
-        raise _UsageError(f"range must look like A..B, got {text!r}")
-    try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise _UsageError(f"range bounds must be integers, got {text!r}") from exc
+        raise _UsageError(f"range must look like A..B, got {_clip(text)!r}")
+    lo, hi = _read_int(parts[0], "range lower bound"), _read_int(parts[1], "range upper bound")
     if lo < _MIN_N:
-        raise _UsageError(f"range lower bound must be >= {_MIN_N}, got {lo}")
+        raise _UsageError(f"range lower bound must be >= {_MIN_N}, got {_clip(str(lo))}")
     if hi < lo:
-        raise _UsageError(f"empty range {text!r}")
+        raise _UsageError(f"empty range {_clip(text)!r}")
     return lo, hi
 
 
@@ -357,13 +361,13 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("group", help="critical group of C4 x Cn")
     sp.set_defaults(handler=_cmd_group)
-    sp.add_argument("n", type=int)
+    sp.add_argument("n", type=_int_argument)
     sp.add_argument("--method", choices=("closed", "relations", "snf"), default="closed")
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("treecount", help="spanning-tree count of C4 x Cn")
     sp.set_defaults(handler=_cmd_treecount)
-    sp.add_argument("n", type=int)
+    sp.add_argument("n", type=_int_argument)
     sp.add_argument("--check", choices=("matrix", "trig", "all"))
     sp.add_argument("--tolerance", type=float, default=1e-9)
     sp.add_argument("--json", action="store_true")
@@ -371,19 +375,19 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("seq", help="print a sequence table")
     sp.set_defaults(handler=_cmd_seq)
     sp.add_argument("kind", choices=("e", "f", "h", "g", "u", "v"))
-    sp.add_argument("--upto", type=int, required=True)
-    sp.add_argument("--m", type=int)
+    sp.add_argument("--upto", type=_int_argument, required=True)
+    sp.add_argument("--m", type=_int_argument)
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("valuations", help="predicted vs observed 2-/3-adic valuations")
     sp.set_defaults(handler=_cmd_valuations)
-    sp.add_argument("--upto", type=int, required=True)
+    sp.add_argument("--upto", type=_int_argument, required=True)
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("subgroup", help="factorwise subgroup test")
     sp.set_defaults(handler=_cmd_subgroup)
-    sp.add_argument("n1", type=int)
-    sp.add_argument("n2", type=int)
+    sp.add_argument("n1", type=_int_argument)
+    sp.add_argument("n2", type=_int_argument)
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("snf", help="Smith normal form of a matrix file")
@@ -400,7 +404,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_verify)
     sp.add_argument("--range", required=True, metavar="A..B")
     sp.add_argument("--pipeline", action="store_true")
-    sp.add_argument("--parallelism", type=int, default=1,
+    sp.add_argument("--parallelism", type=_int_argument, default=1,
                     help="worker processes; 0 = one per CPU")
     sp.add_argument("--json", action="store_true")
 

@@ -39,7 +39,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 _ORACLE_DIM_CAP = 8
 
@@ -640,16 +640,28 @@ def _clip(text: str, width: int = 80) -> str:
     return text if len(text) <= width else text[: width - 3] + "..."
 
 
-def _digit_limit_error(token: str) -> Optional[str]:
-    """The reason ``int(token)`` failed when it is the interpreter's cap on
-    the digits of a decimal string (``sys.get_int_max_str_digits()``,
-    which bounds the quadratic-time conversion of untrusted input); None
-    for any other cause.  The cap itself is left as it is."""
+def _read_int(token: str, where: str | Callable[[], str] | None = None) -> int:
+    """``int(token)`` for text from outside the program: command-line
+    arguments, edge lists and matrix files all convert here.  A failure
+    is a ValueError that starts with ``where`` (a string, or a function
+    called only on failure) and names the cause in a bounded message:
+    the interpreter's cap on the digits of a decimal string
+    (``sys.get_int_max_str_digits()``, which bounds the quadratic-time
+    conversion of untrusted input and is left as it is), or a token that
+    is not an integer, clipped to 80 characters."""
+    try:
+        return int(token)
+    except ValueError:
+        pass
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    digits = token.lstrip("+-").replace("_", "")
+    digits = token.strip().lstrip("+-").replace("_", "")
     if limit and len(digits) > limit and digits.isdecimal():
-        return f"integer field has {len(digits)} digits; input integers are limited to {limit} digits"
-    return None
+        cause = f"integer field has {len(digits)} digits; input integers are limited to {limit} digits"
+    else:
+        cause = f"not an integer: {_clip(token)!r}"
+    if where is None:
+        raise ValueError(cause) from None
+    raise ValueError(f"{where() if callable(where) else where}: {cause}") from None
 
 
 def parse_matrix(text: str) -> IntegerMatrix:
@@ -658,13 +670,7 @@ def parse_matrix(text: str) -> IntegerMatrix:
     tokens = text.split()
     if len(tokens) < 2:
         raise ValueError("matrix file must start with 'rows cols'")
-    try:
-        nr, nc = int(tokens[0]), int(tokens[1])
-    except ValueError as exc:
-        reason = _digit_limit_error(tokens[0]) or _digit_limit_error(tokens[1])
-        if reason is None:
-            reason = f"{_clip(tokens[0])!r} {_clip(tokens[1])!r}"
-        raise ValueError(f"bad matrix header: {reason}") from exc
+    nr, nc = (_read_int(tok, "bad matrix header") for tok in tokens[:2])
     if nr < 1 or nc < 1:
         raise ValueError("matrix dimensions must be positive")
     body = tokens[2:]
@@ -672,15 +678,10 @@ def parse_matrix(text: str) -> IntegerMatrix:
         # the product is compared, never printed: its digits can pass the limit
         header = f"{_clip(tokens[0])} {_clip(tokens[1])}"
         raise ValueError(f"matrix header '{header}' does not match the {len(body)} entries that follow")
-    values = []
-    for k, tok in enumerate(body):
-        try:
-            values.append(int(tok))
-        except ValueError as exc:
-            reason = _digit_limit_error(tok)
-            if reason is None:
-                raise ValueError("matrix entries must be integers") from exc
-            raise ValueError(f"row {k // nc + 1}, column {k % nc + 1}: {reason}") from exc
+    # the position is formatted only for an entry that fails to convert
+    values = [
+        _read_int(tok, lambda: f"row {k // nc + 1}, column {k % nc + 1}") for k, tok in enumerate(body)
+    ]
     return IntegerMatrix([values[i * nc : (i + 1) * nc] for i in range(nr)])
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .exactla import IntegerMatrix, SparseMatrix, _clip, _digit_limit_error
+from .exactla import IntegerMatrix, SparseMatrix, _clip, _read_int
 
 
 def _edge_key(u: int, v: int) -> tuple[int, int]:
@@ -86,15 +86,14 @@ def cartesian_product(g1: Multigraph, g2: Multigraph) -> Multigraph:
     multiplicities are inherited from the contributing edge.
     """
     n1, n2 = g1.vertex_count, g2.vertex_count
-    edges: dict[tuple[int, int], int] = {}
-    for v in range(n2):
-        for (u1, u2), mult in g1.edge_multiplicities.items():
-            key = _edge_key(u1 + v * n1, u2 + v * n1)
-            edges[key] = edges.get(key, 0) + mult
-    for u in range(n1):
-        for (v1, v2), mult in g2.edge_multiplicities.items():
-            key = _edge_key(u + v1 * n1, u + v2 * n1)
-            edges[key] = edges.get(key, 0) + mult
+    # both factors' keys are ordered pairs, and so are the product's: a
+    # layer edge and a ring edge never join the same pair, so no key repeats
+    edges = {
+        (u1 + v * n1, u2 + v * n1): mult for v in range(n2) for (u1, u2), mult in g1._edges.items()
+    }
+    edges.update({
+        (u + v1 * n1, u + v2 * n1): mult for u in range(n1) for (v1, v2), mult in g2._edges.items()
+    })
     return Multigraph(n1 * n2, edges)
 
 
@@ -148,53 +147,43 @@ def parse_edge_list(text: str) -> Multigraph:
     the largest id seen.  Repeated pairs accumulate multiplicity.
     """
     vertex_count: int | None = None
-    raw_edges: list[tuple[int, int, int]] = []
+    edges: dict[tuple[int, int], int] = {}
     max_id = -1
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         parts = body.split()
+        where = f"line {lineno}"
         if parts[0] == "vertices":
             if len(parts) != 2:
-                raise ValueError(f"line {lineno}: header must be 'vertices N'")
+                raise ValueError(f"{where}: header must be 'vertices N'")
             if vertex_count is not None:
-                raise ValueError(f"line {lineno}: duplicate 'vertices' header")
-            try:
-                vertex_count = int(parts[1])
-            except ValueError as exc:
-                reason = _digit_limit_error(parts[1]) or f"non-integer vertex count {_clip(parts[1])!r}"
-                raise ValueError(f"line {lineno}: {reason}") from exc
+                raise ValueError(f"{where}: duplicate 'vertices' header")
+            vertex_count = _read_int(parts[1], where)
             if vertex_count < 1:
-                raise ValueError(
-                    f"line {lineno}: vertex count must be >= 1, got {_clip(str(vertex_count))}"
-                )
+                raise ValueError(f"{where}: vertex count must be >= 1, got {_clip(str(vertex_count))}")
             continue
         if len(parts) not in (2, 3):
-            raise ValueError(f"line {lineno}: expected 'u v [multiplicity]', got {_clip(body)!r}")
-        fields = []
-        for part in parts:
-            try:
-                fields.append(int(part))
-            except ValueError as exc:
-                reason = _digit_limit_error(part) or f"non-integer field in {_clip(body)!r}"
-                raise ValueError(f"line {lineno}: {reason}") from exc
-        u, v = fields[0], fields[1]
-        mult = fields[2] if len(fields) == 3 else 1
+            raise ValueError(f"{where}: expected 'u v [multiplicity]', got {_clip(body)!r}")
+        u, v = _read_int(parts[0], where), _read_int(parts[1], where)
+        mult = _read_int(parts[2], where) if len(parts) == 3 else 1
         if u < 0 or v < 0:
-            raise ValueError(f"line {lineno}: vertex ids must be >= 0")
+            raise ValueError(f"{where}: vertex ids must be >= 0")
         if mult < 1:
-            raise ValueError(f"line {lineno}: multiplicity must be >= 1, got {_clip(parts[2])}")
-        raw_edges.append((u, v, mult))
-        max_id = max(max_id, u, v)
+            raise ValueError(f"{where}: multiplicity must be >= 1, got {_clip(parts[2])}")
+        if u == v:
+            raise ValueError(f"{where}: self-loop at vertex {_clip(parts[0])} is not allowed")
+        key = _edge_key(u, v)
+        edges[key] = edges.get(key, 0) + mult
+        max_id = max(max_id, key[1])
     if vertex_count is None:
         if max_id < 0:
             raise ValueError("edge list is empty and has no 'vertices' header")
         vertex_count = max_id + 1
-    edges: dict[tuple[int, int], int] = {}
-    for u, v, mult in raw_edges:
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u} is not allowed")
-        key = _edge_key(u, v)
-        edges[key] = edges.get(key, 0) + mult
+    elif max_id >= vertex_count:
+        # clipped: an id can have as many digits as the reader lets through
+        raise ValueError(
+            f"vertex id {_clip(str(max_id))} is out of range for 'vertices {_clip(str(vertex_count))}'"
+        )
     return Multigraph(vertex_count, edges)

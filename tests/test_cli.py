@@ -331,6 +331,79 @@ def test_matrix_header_whose_product_passes_the_digit_limit(tmp_path, capsys, js
     assert err == f"critgraph: error: matrix header '{header}' does not match the 3 entries that follow\n"
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["group", "{big}"], "critgraph group: error: argument n"),
+        (["subgroup", "5", "{big}"], "critgraph subgroup: error: argument n2"),
+        (["seq", "e", "--upto", "{big}"], "critgraph seq: error: argument --upto"),
+        (["seq", "u", "--upto", "3", "--m", "{big}"], "critgraph seq: error: argument --m"),
+        (["verify", "--range", "3..4", "--parallelism", "{big}"], "critgraph verify: error: argument --parallelism"),
+        (["verify", "--range", "{big}..5"], "critgraph: error: range lower bound"),
+        (["verify", "--range", "3..{big}"], "critgraph: error: range upper bound"),
+    ],
+    ids=["n", "n2", "upto", "m", "parallelism", "range-lo", "range-hi"],
+)
+def test_argument_over_the_digit_limit_names_the_cap(capsys, json_flag, argv, where):
+    limit, big = _over_digit_limit()
+    assert run([a.format(big=big) for a in argv] + json_flag) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    # argparse prints its usage line first; the error itself is the last line
+    assert err.splitlines()[-1] == (
+        f"{where}: integer field has {len(big)} digits; input integers are limited to {limit} digits"
+    )
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["group", "5x"], "critgraph group: error: argument n: not an integer: '5x'"),
+        (["verify", "--range", "3..b"], "critgraph: error: range upper bound: not an integer: 'b'"),
+        (["verify", "--range", "x" * 5000], f"critgraph: error: range must look like A..B, got '{'x' * 77}...'"),
+    ],
+    ids=["n", "range-hi", "range-shape"],
+)
+def test_bad_integer_argument_is_named_and_clipped(capsys, json_flag, argv, message):
+    assert run(argv + json_flag) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == message
+
+
+def _at_digit_limit():
+    # the longest integer the reader accepts; 4n, or one plus an id, has one digit more
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    return "9" * (limit or 4300)
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv, edges, cap",
+    [
+        (["graph-group", "--edges", "{path}"], "vertices {big}\n0 1\n", f"at most {MAX_GRAPH_VERTICES}"),
+        (["graph-group", "--edges", "{path}"], "0 {big}\n", f"at most {MAX_GRAPH_VERTICES}"),
+        (["graph-group", "--edges", "{path}"], "vertices 3\n0 {big}\n", "is out of range for 'vertices 3'"),
+        (["group", "{big}", "--method", "snf"], None, "at most 1000 vertices (n <= 250)"),
+        (["treecount", "{big}", "--check", "matrix"], None, "at most 1000 vertices (n <= 250)"),
+        (["verify", "--range", "3..{big}"], None, "at most 1000 vertices (n <= 250)"),
+    ],
+    ids=["vertex-header", "vertex-id", "id-over-header", "group-snf", "treecount-matrix", "verify"],
+)
+def test_size_errors_do_not_print_the_whole_size(tmp_path, capsys, json_flag, argv, edges, cap):
+    big = _at_digit_limit()
+    path = tmp_path / "g.txt"
+    if edges is not None:
+        path.write_text(edges.format(big=big))
+    assert run([a.format(big=big, path=path) for a in argv] + json_flag) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("critgraph: error: ") and err.count("\n") == 1 and len(err) < 200, err
+    assert cap in err
+
+
 def test_edge_list_errors_clip_the_echoed_line(tmp_path, capsys):
     path = tmp_path / "g.txt"
     for text in ("0 1 " + "x" * 5000, "0 1 2 " + "3" * 5000):

@@ -9,6 +9,7 @@ from critgraph.exactla import (
     IntegerMatrix,
     SparseMatrix,
     _eliminate_units,
+    _read_int,
     canonical_chain,
     det,
     det_bareiss,
@@ -468,5 +469,21 @@ def test_matrix_text_errors():
         parse_matrix("2 2\n1 2 3 x")
     with pytest.raises(ValueError):
         parse_matrix("0 2\n")
-    with pytest.raises(ValueError, match="bad matrix header"):
+    with pytest.raises(ValueError, match="^bad matrix header: not an integer: 'x'$"):
         parse_matrix("x 2\n1 2\n")
+    with pytest.raises(ValueError, match="^row 2, column 1: not an integer: 'y'$"):
+        parse_matrix("2 2\n1 0\ny 1\n")
+
+
+def test_read_int_names_where_and_clips_the_token():
+    def never():
+        raise AssertionError("position built for a token that converts")
+
+    assert _read_int("-17", never) == -17
+    assert _read_int(" 8 ") == 8
+    with pytest.raises(ValueError, match="^line 4: not an integer: '1.5'$"):
+        _read_int("1.5", "line 4")
+    with pytest.raises(ValueError, match="^row 1: not an integer: 'x{77}\\.\\.\\.'$"):
+        _read_int("x" * 5000, lambda: "row 1")
+    with pytest.raises(ValueError, match="^not an integer: ''$"):
+        _read_int("")

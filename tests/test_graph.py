@@ -58,6 +58,27 @@ def test_cartesian_product_edge_count_formula():
         assert g.edge_count == g1.vertex_count * g2.edge_count + g2.vertex_count * g1.edge_count
 
 
+def _product_by_definition(g1, g2):
+    """Every pair of product vertices joined by the definition, summed."""
+    n1, n2 = g1.vertex_count, g2.vertex_count
+    edges = {}
+    for a in range(n1 * n2):
+        for b in range(a + 1, n1 * n2):
+            (u1, v1), (u2, v2) = divmod(a, n1)[::-1], divmod(b, n1)[::-1]
+            mult = g2.multiplicity(v1, v2) if u1 == u2 else g1.multiplicity(u1, u2) if v1 == v2 else 0
+            if mult:
+                edges[(a, b)] = mult
+    return Multigraph(n1 * n2, edges)
+
+
+def test_cartesian_product_matches_its_definition(random_multigraph):
+    rng = random.Random(7)
+    for _ in range(40):
+        g1 = random_multigraph(rng, rng.randint(1, 6), rng.randint(0, 6), 3)
+        g2 = random_multigraph(rng, rng.randint(1, 6), rng.randint(0, 6), 3)
+        assert cartesian_product(g1, g2) == _product_by_definition(g1, g2)
+
+
 def test_prism_family_structure():
     g = c4xcn(3)
     assert g.vertex_count == 12
@@ -182,6 +203,16 @@ def test_parse_edge_list_errors():
         parse_edge_list("-1 0\n")
     with pytest.raises(ValueError, match=r"^line 2: duplicate 'vertices' header"):
         parse_edge_list("vertices 3\nvertices 3\n0 1\n")
+
+
+def test_parse_edge_list_names_the_line_of_a_self_loop():
+    # one pass: the self-loop on line 2 is reported before the bad field on line 3
+    with pytest.raises(ValueError, match=r"^line 2: self-loop at vertex 1 is not allowed$"):
+        parse_edge_list("0 1\n1 1\n1 two\n")
+    with pytest.raises(ValueError, match=r"^line 3: not an integer: 'two'$"):
+        parse_edge_list("vertices 3\n0 1\n1 two\n")
+    with pytest.raises(ValueError, match=r"^vertex id 5 is out of range for 'vertices 2'$"):
+        parse_edge_list("vertices 2\n0 5\n")
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,9 @@ point (an IntegerMatrix, converted at the snf / det boundary) returns;
 its pivots are those of a brute-force rescan of every row.  The critical
 group and the tree count of a connected multigraph do not depend on how
 its vertices are numbered, which changes the pivot order, and the group's
-order is the Bareiss determinant of the reduced Laplacian."""
+order is the Bareiss determinant of the reduced Laplacian.  The Smith
+diagonal does not change under drawn unimodular transforms, which move
+the +-1 pivots, and the dense transform path agrees with it."""
 
 import pytest
 
@@ -119,3 +121,37 @@ def test_group_and_tree_count_ignore_vertex_labels(case):
     assert group_of_graph(h) == group
     assert tree_count_matrix(h) == tree_count_matrix(g) == group.order
     assert group.order == det_bareiss(laplacian(g).delete_row_col(0, 0))
+
+
+@st.composite
+def _unimodular(draw, n):
+    """An n x n product of drawn row swaps, negations and row additions."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 2 * n))):
+        kind, i, j = draw(st.integers(0, 2)), draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if kind == 0:
+            m[i], m[j] = m[j], m[i]
+        elif kind == 1:
+            m[i] = [-x for x in m[i]]
+        elif i != j:
+            k = draw(st.integers(-2, 2))
+            m[i] = [x + k * y for x, y in zip(m[i], m[j])]
+    return IntegerMatrix(m)
+
+
+@st.composite
+def _unit_heavy_and_transforms(draw):
+    """A unit-heavy matrix of up to 10 x 10 with small entries, and a
+    unimodular P and Q to multiply it by on either side."""
+    nr = draw(st.integers(1, 10))
+    nc = draw(st.integers(1, 10))
+    entry = st.one_of(st.sampled_from([0, 0, 1, -1, 1, -1]), st.integers(-4, 4))
+    a = IntegerMatrix([[draw(entry) for _ in range(nc)] for _ in range(nr)])
+    return draw(_unimodular(nr)), a, draw(_unimodular(nc))
+
+
+@_SETTINGS
+@given(_unit_heavy_and_transforms())
+def test_snf_is_invariant_under_unimodular_transforms(case):
+    p, a, q = case
+    assert snf(p @ a @ q).diagonal == snf(a).diagonal == snf(a, want_transforms=True).diagonal
