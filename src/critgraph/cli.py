@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -88,6 +89,14 @@ def _int_argument(text: str) -> int:
         return _read_int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _float_argument(text: str) -> float:
+    """argparse ``type`` of ``--tolerance``: echoes a bad token clipped."""
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {_clip(text)!r}") from None
 
 
 def _require_n(n: int) -> int:
@@ -259,7 +268,8 @@ def _read_file(path: str) -> str:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from exc
+        # str(exc) repeats the path; the cause alone is named
+        raise _UsageError(f"cannot read {_clip(path)}: {exc.strerror or type(exc).__name__}") from exc
 
 
 def _cmd_snf(args: argparse.Namespace) -> int:
@@ -301,21 +311,23 @@ def _verify_single(n: int, pipeline: bool) -> tuple[int, bool, str]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    workers = args.parallelism
-    if workers < 0:
-        raise _UsageError(f"--parallelism must be >= 0, got {_clip(str(workers))}")
+    if args.parallelism < 0:
+        raise _UsageError(f"--parallelism must be >= 0, got {_clip(str(args.parallelism))}")
     lo, hi = _parse_range(args.range)
     _require_laplacian_size(hi)
     ns = list(range(lo, hi + 1))
+    # a pool may start all its workers at once, so there are never more
+    # than the CPUs or the values of n
+    cpus = os.cpu_count() or 1
+    workers = min(args.parallelism or cpus, cpus, len(ns))
     start = time.monotonic()
-    if workers == 1 or len(ns) == 1:
+    if workers == 1:
         results = [_verify_single(n, args.pipeline) for n in ns]
     else:
         # imported here, so that the other commands do not pay its import time
         import concurrent.futures
 
-        max_workers = workers if workers > 0 else None
-        with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_single, ns, [args.pipeline] * len(ns)))
     results.sort(key=lambda item: item[0])
     elapsed = time.monotonic() - start
@@ -362,19 +374,20 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("group", help="critical group of C4 x Cn")
     sp.set_defaults(handler=_cmd_group)
     sp.add_argument("n", type=_int_argument)
-    sp.add_argument("--method", choices=("closed", "relations", "snf"), default="closed")
+    # argparse checks a choice after ``type``, so a bad choice is echoed clipped
+    sp.add_argument("--method", type=_clip, choices=("closed", "relations", "snf"), default="closed")
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("treecount", help="spanning-tree count of C4 x Cn")
     sp.set_defaults(handler=_cmd_treecount)
     sp.add_argument("n", type=_int_argument)
-    sp.add_argument("--check", choices=("matrix", "trig", "all"))
-    sp.add_argument("--tolerance", type=float, default=1e-9)
+    sp.add_argument("--check", type=_clip, choices=("matrix", "trig", "all"))
+    sp.add_argument("--tolerance", type=_float_argument, default=1e-9)
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("seq", help="print a sequence table")
     sp.set_defaults(handler=_cmd_seq)
-    sp.add_argument("kind", choices=("e", "f", "h", "g", "u", "v"))
+    sp.add_argument("kind", type=_clip, choices=("e", "f", "h", "g", "u", "v"))
     sp.add_argument("--upto", type=_int_argument, required=True)
     sp.add_argument("--m", type=_int_argument)
     sp.add_argument("--json", action="store_true")
@@ -405,7 +418,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--range", required=True, metavar="A..B")
     sp.add_argument("--pipeline", action="store_true")
     sp.add_argument("--parallelism", type=_int_argument, default=1,
-                    help="worker processes; 0 = one per CPU")
+                    help="worker processes, at most one per CPU and per n; 0 = one per CPU")
     sp.add_argument("--json", action="store_true")
 
     return parser

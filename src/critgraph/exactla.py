@@ -3,11 +3,13 @@
 The central routine is :func:`snf`, a Smith-normal-form engine driven by
 unimodular row/column operations (swaps, negations, integer-multiple
 additions, and extended-gcd 2x2 combinations, each a product of the
-elementary operations).  It is cross-checkable against
-:func:`invariant_factors_from_divisors`, a brute-force oracle that
-computes determinantal divisors by enumerating all k x k minors.  The
-oracle is combinatorially expensive and is capped at matrices whose
-smaller dimension is at most 8.
+elementary operations).  The dense engine writes both kinds through one
+routine, :func:`_clear_column`, which clears a column by row operations:
+a column operation is a row operation on the transpose.  The engine is
+cross-checkable against :func:`invariant_factors_from_divisors`, a
+brute-force oracle that computes determinantal divisors by enumerating
+all k x k minors.  The oracle is combinatorially expensive and is capped
+at matrices whose smaller dimension is at most 8.
 
 Without transforms, :func:`snf` and :func:`det` first run a sparse
 pre-pass, :func:`_eliminate_units`, that takes the +-1 pivots from the
@@ -245,25 +247,51 @@ def _min_abs_pivot(
     return best, top.bit_length()
 
 
+def _clear_column(m: list[list[int]], t: int, c: int, rows: int) -> None:
+    """Zero ``m[t+1:rows][c]`` by row operations against row t, whose
+    entry ``m[t][c]`` is the pivot: subtract a multiple of row t when the
+    pivot divides the entry, else apply the extended-gcd 2x2 combination
+    of the two rows, which makes the pivot their gcd."""
+    for i in range(t + 1, rows):
+        v = m[i][c]
+        if not v:
+            continue
+        pivot = m[t][c]
+        mt, mi = m[t], m[i]
+        if v % pivot == 0:
+            f = v // pivot
+            m[i] = [y - f * x for x, y in zip(mt, mi)]
+        else:
+            g, aa, bb = _ext_gcd(pivot, v)
+            cc, dd = v // g, -(pivot // g)
+            m[t] = [aa * x + bb * y for x, y in zip(mt, mi)]
+            m[i] = [cc * x + dd * y for x, y in zip(mt, mi)]
+
+
 def _dense_snf(m: list[list[int]], want_transforms: bool) -> SnfResult:
     """Dense Smith normal form of ``m``, a nonempty list of equal-length
-    rows (reduced in place when no transforms are wanted).
+    rows, which it overwrites when no transforms are wanted.
 
     Each stage moves the nonzero entry of minimal absolute value in the
-    remaining submatrix to the pivot position, then clears the pivot row
-    and column.  Non-divisible entries are handled with an extended-gcd
-    2x2 block combination (the pivot becomes the gcd in one step), which
-    keeps intermediate entries from the explosive growth that a naive
-    swap-and-reduce cascade produces.  Once the cross is clear, the pivot
-    is forced to divide the remaining submatrix by the usual add-a-row
-    fix-up.  Diagonal entries come out nonnegative, with zeros (rank
-    deficiency) at the tail.
+    remaining submatrix to the pivot position and clears the pivot column
+    with :func:`_clear_column`.  The pivot row is cleared by the same
+    routine, as the pivot column of the transpose of rows t on (a column
+    operation is a row operation on the transpose, as in Kannan & Bachem,
+    SIAM J. Comput. 1979); rows above t are zero from column t on, so
+    column operations leave them as they are.  Non-divisible entries are
+    handled with an extended-gcd 2x2 block combination (the pivot becomes
+    the gcd in one step), which keeps intermediate entries from the
+    explosive growth that a naive swap-and-reduce cascade produces.  Once
+    the cross is clear, the pivot is forced to divide the remaining
+    submatrix by the usual add-a-row fix-up.  Diagonal entries come out
+    nonnegative, with zeros (rank deficiency) at the tail.
 
     With transforms, the loop runs on the bordered matrix
     ``[[m, I], [I, 0]]`` and reads and reduces only its first nr rows and
     nc columns: each row operation carries the right border into the left
     transform, and each column operation the lower border into the right
-    transform.
+    transform.  The transpose of a bordered matrix is bordered the same
+    way, so the lower border goes through the transposition as rows do.
     """
     nr, nc = len(m), len(m[0])
     if want_transforms:
@@ -271,52 +299,6 @@ def _dense_snf(m: list[list[int]], want_transforms: bool) -> SnfResult:
             [int(j == k) for k in range(nc)] + [0] * nr for j in range(nc)
         ]
     peak = 0
-
-    def row_sub(i: int, t: int, factor: int) -> None:
-        m[i] = [x - factor * y for x, y in zip(m[i], m[t])]
-
-    def rows_combine(t: int, i: int, aa: int, bb: int, cc: int, dd: int) -> None:
-        # row_t <- aa*row_t + bb*row_i ; row_i <- cc*row_t + dd*row_i
-        mt, mi = m[t], m[i]
-        m[t] = [aa * x + bb * y for x, y in zip(mt, mi)]
-        m[i] = [cc * x + dd * y for x, y in zip(mt, mi)]
-
-    # rows above t are zero in every column >= t, so column operations
-    # skip them
-    def col_sub(j: int, t: int, factor: int) -> None:
-        for row in m[t:]:
-            row[j] -= factor * row[t]
-
-    def cols_combine(t: int, j: int, aa: int, bb: int, cc: int, dd: int) -> None:
-        # col_t <- aa*col_t + bb*col_j ; col_j <- cc*col_t + dd*col_j
-        for row in m[t:]:
-            x, y = row[t], row[j]
-            row[t] = aa * x + bb * y
-            row[j] = cc * x + dd * y
-
-    def clear_column(t: int) -> None:
-        for i in range(t + 1, nr):
-            v = m[i][t]
-            if not v:
-                continue
-            pivot = m[t][t]
-            if v % pivot == 0:
-                row_sub(i, t, v // pivot)
-            else:
-                g, x, y = _ext_gcd(pivot, v)
-                rows_combine(t, i, x, y, v // g, -(pivot // g))
-
-    def clear_row(t: int) -> None:
-        for j in range(t + 1, nc):
-            v = m[t][j]
-            if not v:
-                continue
-            pivot = m[t][t]
-            if v % pivot == 0:
-                col_sub(j, t, v // pivot)
-            else:
-                g, x, y = _ext_gcd(pivot, v)
-                cols_combine(t, j, x, y, v // g, -(pivot // g))
 
     for t in range(min(nr, nc)):
         pos, sub_peak = _min_abs_pivot(m, t, nr, nc)
@@ -330,26 +312,22 @@ def _dense_snf(m: list[list[int]], want_transforms: bool) -> SnfResult:
             row[j], row[t] = row[t], row[j]
 
         while True:
-            while any(m[i][t] for i in range(t + 1, nr)) or any(
-                m[t][j] for j in range(t + 1, nc)
-            ):
-                clear_column(t)
-                clear_row(t)
+            # a gcd step on the row can refill the column, and one on the
+            # column the row: the cross is clear when the row is clear
+            # after the column
+            _clear_column(m, t, t, nr)
+            if any(m[t][t + 1 : nc]):
+                cols = list(map(list, zip(*m[t:])))
+                _clear_column(cols, t, 0, nc)
+                m[t:] = map(list, zip(*cols))
+                continue
             # Pivot must divide every remaining entry; if not, pull the
             # offending row up and keep reducing (this shrinks the pivot).
             pivot = m[t][t]
-            offender = None
-            for i in range(t + 1, nr):
-                row = m[i]
-                for j in range(t + 1, nc):
-                    if row[j] % pivot:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((row for row in m[t + 1 : nr] for x in row[t + 1 : nc] if x % pivot), None)
             if offender is None:
                 break
-            row_sub(t, offender, -1)
+            m[t] = [x + y for x, y in zip(m[t], offender)]
 
         if m[t][t] < 0:
             m[t] = [-x for x in m[t]]

@@ -373,6 +373,33 @@ def test_bad_integer_argument_is_named_and_clipped(capsys, json_flag, argv, mess
     assert err.splitlines()[-1] == message
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["treecount", "5", "--check", "trig", "--tolerance", "{big}"],
+         "critgraph treecount: error: argument --tolerance: not a number: '{clipped}'"),
+        (["group", "5", "--method", "{big}"], "critgraph group: error: argument --method: invalid choice: '{clipped}'"),
+        (["treecount", "5", "--check", "{big}"],
+         "critgraph treecount: error: argument --check: invalid choice: '{clipped}'"),
+        (["seq", "{big}", "--upto", "3"], "critgraph seq: error: argument kind: invalid choice: '{clipped}'"),
+        (["snf", "--matrix", "/nonexistent/{big}"], "critgraph: error: cannot read {clipped_path}: "),
+        (["graph-group", "--edges", "/nonexistent/{big}"], "critgraph: error: cannot read {clipped_path}: "),
+    ],
+    ids=["tolerance", "method", "check", "seq-kind", "matrix-path", "edges-path"],
+)
+def test_bad_token_is_echoed_clipped(capsys, json_flag, argv, prefix):
+    big = "x" * 5000
+    clipped_path = ("/nonexistent/" + big)[:77] + "..."
+    assert run([a.format(big=big) for a in argv] + json_flag) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    # argparse prints its usage line first; the error itself is the last line
+    line = err.splitlines()[-1]
+    assert line.startswith(prefix.format(clipped="x" * 77 + "...", clipped_path=clipped_path)), line
+    assert len(line) < 200, line
+
+
 def _at_digit_limit():
     # the longest integer the reader accepts; 4n, or one plus an id, has one digit more
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
@@ -480,6 +507,48 @@ def test_verify_parallelism_identical_output(capsys):
     assert run(["verify", "--range", "3..8", "--parallelism", "2"]) == 0
     parallel = capsys.readouterr().out
     assert serial == parallel
+
+
+def test_verify_parallelism_is_clamped_to_cpus_and_range(capsys, monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        """Records max_workers and maps in this process: no worker starts."""
+
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert run(["verify", "--range", "3..8"]) == 0
+    serial = capsys.readouterr().out
+    for parallelism, range_text, workers in (
+        ("100000", "3..4", 2),  # one per n
+        ("100000", "3..8", 3),  # one per CPU
+        ("0", "3..8", 3),
+        ("2", "3..8", 2),
+    ):
+        assert run(["verify", "--range", range_text, "--parallelism", parallelism]) == 0
+        out = capsys.readouterr().out
+        assert sizes.pop() == workers
+        if range_text == "3..8":
+            assert out == serial
+    # one CPU: no pool at all
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert run(["verify", "--range", "3..8", "--parallelism", "4"]) == 0
+    assert capsys.readouterr().out == serial
+    assert sizes == []
 
 
 def test_verify_bad_ranges(capsys):

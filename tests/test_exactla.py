@@ -256,6 +256,25 @@ def test_snf_prepass_matches_dense_engine():
         assert snf(a).diagonal == snf(a, want_transforms=True).diagonal, a
 
 
+def test_snf_transforms_reconstruct_rectangular_past_6x6():
+    # the pivot row is cleared on the transpose of the bordered matrix,
+    # which swaps the roles of the two borders; they differ only when the
+    # matrix is not square
+    rng = random.Random(2006)
+    shapes = [(1, 12), (12, 1), (2, 11), (11, 2)]
+    shapes += [(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(40)]
+    for rows, cols in shapes:
+        spread = IntegerMatrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
+        for a in (spread, _unit_heavy_matrix(rng, rows, cols)):
+            res = snf(a, want_transforms=True)
+            assert res.left_transform @ a @ res.right_transform == _rect_diag(res.diagonal, rows, cols), a
+            assert det_bareiss(res.left_transform) in (1, -1)
+            assert det_bareiss(res.right_transform) in (1, -1)
+            assert res.diagonal == snf(a).diagonal, a
+            if min(rows, cols) <= 8:
+                assert res.diagonal == invariant_factors_from_divisors(a), a
+
+
 def test_snf_prepass_matches_divisor_oracle():
     rng = random.Random(2002)
     for trial in range(300):
