@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -36,11 +37,17 @@ from .critgroup import (
     verify_reduction_pipeline,
 )
 from .exactla import _clip, _read_int, parse_matrix, snf
-from .graph import c4xcn, parse_edge_list
-from .seq import SeqKind, _valuation_rule, derived_prefix, observed_valuation, u_prefix, v_prefix
+from .graph import _require_c4xcn_n, c4xcn, parse_edge_list
+from .seq import (
+    SeqKind,
+    _valuation_rule,
+    _walk,
+    derived_prefix,
+    observed_valuation,
+    u_prefix,
+    v_prefix,
+)
 from .treecount import tree_count_closed, tree_count_matrix, trig_product_check
-
-_MIN_N = 3
 
 # Largest vertex count the full-Laplacian route accepts: ``graph-group``,
 # and ``group N --method snf``, ``treecount N --check matrix|all`` and
@@ -99,12 +106,6 @@ def _float_argument(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {_clip(text)!r}") from None
 
 
-def _require_n(n: int) -> int:
-    if n < _MIN_N:
-        raise _UsageError(f"n must be >= {_MIN_N}, got {_clip(str(n))}")
-    return n
-
-
 def _require_laplacian_size(n: int) -> None:
     # 4n is not printed: its digits can pass the limit of str()
     if 4 * n > MAX_GRAPH_VERTICES:
@@ -115,7 +116,7 @@ def _require_laplacian_size(n: int) -> None:
 
 
 def _cmd_group(args: argparse.Namespace) -> int:
-    n = _require_n(args.n)
+    n = args.n
     if args.method == "closed":
         group = closed_form_group(n)
     elif args.method == "relations":
@@ -127,9 +128,11 @@ def _cmd_group(args: argparse.Namespace) -> int:
 
 
 def _cmd_treecount(args: argparse.Namespace) -> int:
-    n = _require_n(args.n)
+    n = args.n
     if args.check in ("matrix", "all"):
         _require_laplacian_size(n)
+    if args.tolerance is not None and args.check not in ("trig", "all"):
+        raise _UsageError("--tolerance only applies to --check trig and all")
     count = tree_count_closed(n)
     count_text = str(count)
     checks: list[dict] = []
@@ -147,7 +150,8 @@ def _cmd_treecount(args: argparse.Namespace) -> int:
         lines.append(f"matrix-tree check: {'ok' if ok else 'MISMATCH'} ({by_matrix_text})")
         status |= 0 if ok else 1
     if args.check in ("trig", "all"):
-        report = trig_product_check(n, args.tolerance, count=count)
+        tolerance = () if args.tolerance is None else (args.tolerance,)
+        report = trig_product_check(n, *tolerance, count=count)
         ok = report.trig_passed
         checks.append({
             "name": "trig-product",
@@ -156,7 +160,7 @@ def _cmd_treecount(args: argparse.Namespace) -> int:
         })
         lines.append(
             f"eigenvalue-product check: {'ok' if ok else 'FAIL'} "
-            f"(residual {report.trig_log_residual:.3e}, tolerance {args.tolerance:g})"
+            f"(residual {report.trig_log_residual:.3e}, tolerance {report.trig_tolerance:g})"
         )
         status |= 0 if ok else 1
     payload = {"command": "treecount", "n": str(n), "count": count_text}
@@ -196,24 +200,25 @@ def _cmd_valuations(args: argparse.Namespace) -> int:
     upto = args.upto
     if upto < 2:
         raise _UsageError(f"--upto must be >= 2, got {_clip(str(upto))}")
-    e = derived_prefix(SeqKind.E, upto + 1)
-    f = derived_prefix(SeqKind.F, upto + 1)
+    # (label, kind, prime, position of the kind's term in (e_n, f_n))
     families = [
-        ("T2(e)", SeqKind.E, 2, e),
-        ("T2(f)", SeqKind.F, 2, f),
-        ("T3(e)", SeqKind.E, 3, e),
-        ("T3(f)", SeqKind.F, 3, f),
+        ("T2(e)", SeqKind.E, 2, 0),
+        ("T2(f)", SeqKind.F, 2, 1),
+        ("T3(e)", SeqKind.E, 3, 0),
+        ("T3(f)", SeqKind.F, 3, 1),
     ]
-    # one walk over n: each index is factored once for the four families,
-    # and a family drops out at its first mismatch
+    # one walk over n that holds only the current e_n and f_n: each index
+    # is factored once for the four families, and a family drops out at
+    # its first mismatch
+    terms = zip(_walk(SeqKind.E.m, 0, 1, upto + 1), _walk(SeqKind.F.m, 0, 1, upto + 1))
     first_bad: dict[str, tuple[int, int, int]] = {}
-    for n in range(2, upto + 1):
+    for n, term in enumerate(itertools.islice(terms, 2, None), start=2):
         t2, t3 = observed_valuation(n, 2), observed_valuation(n, 3)
-        for label, kind, prime, table in families:
+        for label, kind, prime, at in families:
             if label in first_bad:
                 continue
             predicted = _valuation_rule(kind, prime, t2, t3)
-            observed = observed_valuation(table[n], prime)
+            observed = observed_valuation(term[at], prime)
             if predicted != observed:
                 first_bad[label] = (n, predicted, observed)
         if len(first_bad) == len(families):
@@ -239,8 +244,7 @@ def _cmd_valuations(args: argparse.Namespace) -> int:
 
 def _cmd_subgroup(args: argparse.Namespace) -> int:
     n1, n2 = args.n1, args.n2
-    if n1 < _MIN_N or n2 < _MIN_N:
-        raise _UsageError(f"both n values must be >= {_MIN_N}")
+    _require_c4xcn_n(min(n1, n2))  # before the work on n1
     g1 = closed_form_group(n1)
     g2 = g1 if n2 == n1 else closed_form_group(n2)
     ok = factorwise_subgroup(g1, g2)
@@ -329,7 +333,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_single, ns, [args.pipeline] * len(ns)))
-    results.sort(key=lambda item: item[0])
     elapsed = time.monotonic() - start
     payload = {
         "command": "verify",
@@ -354,8 +357,7 @@ def _parse_range(text: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise _UsageError(f"range must look like A..B, got {_clip(text)!r}")
     lo, hi = _read_int(parts[0], "range lower bound"), _read_int(parts[1], "range upper bound")
-    if lo < _MIN_N:
-        raise _UsageError(f"range lower bound must be >= {_MIN_N}, got {_clip(str(lo))}")
+    _require_c4xcn_n(lo)
     if hi < lo:
         raise _UsageError(f"empty range {_clip(text)!r}")
     return lo, hi
@@ -376,42 +378,35 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("n", type=_int_argument)
     # argparse checks a choice after ``type``, so a bad choice is echoed clipped
     sp.add_argument("--method", type=_clip, choices=("closed", "relations", "snf"), default="closed")
-    sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("treecount", help="spanning-tree count of C4 x Cn")
     sp.set_defaults(handler=_cmd_treecount)
     sp.add_argument("n", type=_int_argument)
     sp.add_argument("--check", type=_clip, choices=("matrix", "trig", "all"))
-    sp.add_argument("--tolerance", type=_float_argument, default=1e-9)
-    sp.add_argument("--json", action="store_true")
+    sp.add_argument("--tolerance", type=_float_argument)
 
     sp = sub.add_parser("seq", help="print a sequence table")
     sp.set_defaults(handler=_cmd_seq)
     sp.add_argument("kind", type=_clip, choices=("e", "f", "h", "g", "u", "v"))
     sp.add_argument("--upto", type=_int_argument, required=True)
     sp.add_argument("--m", type=_int_argument)
-    sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("valuations", help="predicted vs observed 2-/3-adic valuations")
     sp.set_defaults(handler=_cmd_valuations)
     sp.add_argument("--upto", type=_int_argument, required=True)
-    sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("subgroup", help="factorwise subgroup test")
     sp.set_defaults(handler=_cmd_subgroup)
     sp.add_argument("n1", type=_int_argument)
     sp.add_argument("n2", type=_int_argument)
-    sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("snf", help="Smith normal form of a matrix file")
     sp.set_defaults(handler=_cmd_snf)
     sp.add_argument("--matrix", required=True, metavar="FILE")
-    sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("graph-group", help="critical group of an edge-list graph")
     sp.set_defaults(handler=_cmd_graph_group)
     sp.add_argument("--edges", required=True, metavar="FILE")
-    sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("verify", help="three-way agreement sweep over a range of n")
     sp.set_defaults(handler=_cmd_verify)
@@ -419,8 +414,10 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--pipeline", action="store_true")
     sp.add_argument("--parallelism", type=_int_argument, default=1,
                     help="worker processes, at most one per CPU and per n; 0 = one per CPU")
-    sp.add_argument("--json", action="store_true")
 
+    # added last, so that --json closes every subcommand's usage line
+    for sp in sub.choices.values():
+        sp.add_argument("--json", action="store_true")
     return parser
 
 

@@ -11,11 +11,11 @@ C4 x Cn and cross-check each other:
   * :func:`closed_form_group` -- a seven-term gcd formula in the
     sequences e, f, h, g, split by the parity of n and of n/2.
 
-:func:`verify_reduction_pipeline` replays, stage by stage, the explicit
-chain of unimodular transformations that turns the 8 x 8 relations
-matrix into block-diagonal form, checking every stage as an exact
-identity (the rank-one split by its vanishing line sums) and the
-unimodularity of every constant multiplier.
+:func:`verify_reduction_pipeline` replays the chain of unimodular
+transformations that turns the 8 x 8 relations matrix into block-diagonal
+form.  Each template stage is one exact identity P @ M @ Q == template,
+the rank-one split is certified by vanishing line sums, and every
+constant multiplier is checked for det = +-1.
 """
 
 from __future__ import annotations
@@ -165,11 +165,11 @@ def relations_matrix(n: int) -> IntegerMatrix:
     )
 
 
-def _group_from_snf_diag(diagonal, expect_zeros: int) -> AbelianGroup:
+def _group_from_snf_diag(diagonal) -> AbelianGroup:
     zeros = sum(1 for d in diagonal if d == 0)
-    if zeros != expect_zeros:
+    if zeros != 1:
         raise ValueError(
-            f"expected exactly {expect_zeros} zero invariant factor(s), found {zeros}"
+            f"expected exactly 1 zero invariant factor(s), found {zeros}"
             " (disconnected graph?)"
         )
     return AbelianGroup(tuple(d for d in diagonal if d > 1))
@@ -181,12 +181,12 @@ def group_of_graph(g: Multigraph) -> AbelianGroup:
     The SNF diagonal must contain exactly one zero (the free rank of the
     cokernel); more than one means the graph is disconnected.
     """
-    return _group_from_snf_diag(snf(sparse_laplacian(g)).diagonal, expect_zeros=1)
+    return _group_from_snf_diag(snf(sparse_laplacian(g)).diagonal)
 
 
 def group_via_relations(n: int) -> AbelianGroup:
     """Critical group of C4 x Cn via the 8x8 relations matrix."""
-    return _group_from_snf_diag(snf(relations_matrix(n)).diagonal, expect_zeros=1)
+    return _group_from_snf_diag(snf(relations_matrix(n)).diagonal)
 
 
 def closed_form_raw_factors(n: int) -> tuple[int, ...]:
@@ -476,10 +476,6 @@ def _descale_even_stage(m3: IntegerMatrix) -> IntegerMatrix:
     return IntegerMatrix(rows)
 
 
-def _snf_group(m: IntegerMatrix) -> AbelianGroup:
-    return AbelianGroup(tuple(d for d in snf(m).diagonal if d > 1))
-
-
 def verify_reduction_pipeline(n: int) -> PipelineReport:
     """Replay the staged reduction of the 8x8 relations matrix for one n
     and report each stage.  Failures are recorded, never raised.
@@ -493,19 +489,26 @@ def verify_reduction_pipeline(n: int) -> PipelineReport:
     _require_c4xcn_n(n)
     checks: list[tuple[str, bool, str]] = []
 
-    def record(name: str, passed: bool, detail: str) -> None:
-        checks.append((name, passed, detail))
+    def record(name: str, passed: bool, good: str, bad: str) -> None:
+        checks.append((name, passed, good if passed else bad))
+
+    def stage(name: str, product: IntegerMatrix, template: IntegerMatrix,
+              what: str) -> IntegerMatrix:
+        """Record the exact identity ``product == template``, where ``what``
+        names the template, and return the product for the next stage."""
+        record(name, product == template,
+               f"product equals the {what}", f"product differs from the {what}")
+        return product
 
     bad = _non_unimodular_fixtures()
     record(
         "fixture-unimodularity",
         not bad,
-        "all nine constant multipliers have det = +-1" if not bad
-        else f"non-unimodular fixtures: {', '.join(bad)}",
+        "all nine constant multipliers have det = +-1",
+        f"non-unimodular fixtures: {', '.join(bad)}",
     )
 
     m_minus_i = relations_matrix(n)
-    m1 = m_minus_i.delete_row_col(0, 0)
     signed = m_minus_i.to_lists()
     signed[4:] = [[-x for x in row] for row in signed[4:]]
     sums = [("row", k, sum(line)) for k, line in enumerate(signed)]
@@ -515,69 +518,36 @@ def verify_reduction_pipeline(n: int) -> PipelineReport:
         "rank-one-split",
         bad_sum is None,
         "with rows 4-7 negated every row and column sums to zero, so the"
-        " 8x8 SNF is the 7x7 deletion's plus one zero"
-        if bad_sum is None else f"with rows 4-7 negated, {bad_sum}",
+        " 8x8 SNF is the 7x7 deletion's plus one zero",
+        f"with rows 4-7 negated, {bad_sum}",
     )
 
-    m2 = _L1 @ m1 @ _R1
-    template = _seven_template(n)
-    ok = m2 == template
-    record(
-        "seven-term-template",
-        ok,
-        "stage-1 product matches the folded-sequence template" if ok
-        else "stage-1 product differs from the folded-sequence template",
-    )
-
+    m2 = stage("seven-term-template", _L1 @ m_minus_i.delete_row_col(0, 0) @ _R1,
+               _seven_template(n), "folded-sequence template")
     s, x, y = parity_split(n)
     shifted = (_U ** (s + 1)) @ m2
-
     if n % 2:
-        product = _L2 @ shifted @ _R2
-        target = _odd_split_template(n, x, y)
-        ok = product == target
-        record(
-            "odd-block-split",
-            ok,
-            "odd branch lands on the 3+4 block-diagonal template" if ok
-            else "odd branch misses the 3+4 block-diagonal template",
-        )
-        final = product
+        final = stage("odd-block-split", _L2 @ shifted @ _R2,
+                      _odd_split_template(n, x, y), "3+4 block-diagonal template")
     else:
-        stage = _L3 @ shifted @ _R3
-        target = _even_stage_template(s, x, y)
-        ok = stage == target
-        record(
-            "even-stage-template",
-            ok,
-            "even branch lands on the scaled triangular template" if ok
-            else "even branch misses the scaled triangular template",
-        )
+        final = stage("even-stage-template", _L3 @ shifted @ _R3,
+                      _even_stage_template(s, x, y), "scaled triangular template")
         try:
-            descaled = _descale_even_stage(stage)
-            record("even-descale-exact", True,
-                   "row/column rescaling divides out exactly")
-            product = _L4 @ descaled @ _R4
-            target2 = _even_split_template(s, x, y)
-            ok = product == target2
-            record(
-                "even-block-split",
-                ok,
-                "descaled matrix splits into the 4+3 block-diagonal template"
-                if ok else "descaled matrix misses the 4+3 template",
-            )
+            descaled = _descale_even_stage(final)
         except ArithmeticError as exc:
-            record("even-descale-exact", False, str(exc))
-        final = stage
+            checks.append(("even-descale-exact", False, str(exc)))
+        else:
+            checks.append(("even-descale-exact", True, "row/column rescaling divides out exactly"))
+            stage("even-block-split", _L4 @ descaled @ _R4,
+                  _even_split_template(s, x, y), "4+3 block-diagonal template")
 
     expected = closed_form_group(n)
-    got = _snf_group(final)
-    ok = got == expected
+    got = AbelianGroup(tuple(d for d in snf(final).diagonal if d > 1))
     record(
         "final-snf-closed-form",
-        ok,
-        f"SNF of the final stage equals the closed form: {expected}" if ok
-        else f"final-stage SNF {got} != closed form {expected}",
+        got == expected,
+        f"SNF of the final stage equals the closed form: {expected}",
+        f"final-stage SNF {got} != closed form {expected}",
     )
 
     return PipelineReport(n=n, stage_checks=checks)

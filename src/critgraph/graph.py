@@ -101,7 +101,7 @@ def _require_c4xcn_n(n: int) -> None:
     """Reject n < 3, for which C4 x Cn is not defined; every function of
     the C4 x Cn family checks its n here."""
     if n < 3:
-        raise ValueError(f"C4 x Cn needs n >= 3, got {n}")
+        raise ValueError(f"C4 x Cn needs n >= 3, got {_clip(str(n))}")
 
 
 def c4xcn(n: int) -> Multigraph:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 
 class SeqKind(Enum):
@@ -83,15 +84,15 @@ def _u_pair(m: int, p: int) -> tuple[int, int]:
     return a, b
 
 
-def _walk(m: int, a: int, b: int, count: int) -> list[int]:
-    """The first ``count`` terms of the recurrence started at (a, b)."""
+def _walk(m: int, a: int, b: int, count: int) -> Iterator[int]:
+    """The first ``count`` terms of the recurrence started at (a, b), one
+    at a time, so that a caller that needs only the current term holds
+    only it."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    out: list[int] = []
     for _ in range(count):
-        out.append(a)
+        yield a
         a, b = b, (m + 2) * b - a
-    return out
 
 
 def u_seq(m: int, p: int) -> int:
@@ -114,13 +115,13 @@ def v_seq(m: int, p: int) -> int:
 def u_prefix(m: int, count: int) -> list[int]:
     """[u_0(m), ..., u_{count-1}(m)] in one pass."""
     _check_m(m)
-    return _walk(m, 0, 1, count)
+    return list(_walk(m, 0, 1, count))
 
 
 def v_prefix(m: int, count: int) -> list[int]:
     """[v_0(m), ..., v_{count-1}(m)] in one pass."""
     _check_m(m)
-    return _walk(m, 2, m + 2, count)
+    return list(_walk(m, 2, m + 2, count))
 
 
 def derived_seq(kind: SeqKind, n: int) -> int:
@@ -137,7 +138,7 @@ def derived_prefix(kind: SeqKind, count: int) -> list[int]:
     x_1 = u_1 + u_2 = m + 3."""
     _check_kind(kind)
     start = (1, kind.m + 3) if kind.summed else (0, 1)
-    return _walk(kind.m, *start, count)
+    return list(_walk(kind.m, *start, count))
 
 
 def parity_split(n: int) -> tuple[int, int, int]:

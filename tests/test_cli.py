@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -123,18 +124,19 @@ def test_valuations(capsys):
 
 
 def _scale_terms(monkeypatch, changes):
-    """Make ``cli.derived_prefix`` return tables whose term n of ``kind`` is
-    multiplied by ``factor``, for each (kind, n, factor) in ``changes``."""
-    real = cli.derived_prefix
+    """Make the recurrence walks of ``cli._walk`` yield term n of ``kind``
+    multiplied by ``factor``, for each (kind, n, factor) in ``changes``;
+    the walk of e or f is the one with the kind's parameter m."""
+    real = cli._walk
 
-    def scaled(kind, count):
-        table = real(kind, count)
-        for k, n, factor in changes:
-            if k is kind and n < count:
-                table[n] *= factor
-        return table
+    def scaled(m, a, b, count):
+        for n, term in enumerate(real(m, a, b, count)):
+            for k, at, factor in changes:
+                if k.m == m and at == n:
+                    term *= factor
+            yield term
 
-    monkeypatch.setattr(cli, "derived_prefix", scaled)
+    monkeypatch.setattr(cli, "_walk", scaled)
 
 
 _FAMILIES = [
@@ -579,7 +581,7 @@ def test_verify_reports_a_three_way_disagreement(capsys, monkeypatch):
 @pytest.mark.parametrize("argv, message", [
     (["seq", "e", "--upto", "-1"], "--upto must be >= 0, got -1"),
     (["valuations", "--upto", "1"], "--upto must be >= 2, got 1"),
-    (["subgroup", "2", "6"], "both n values must be >= 3"),
+    (["subgroup", "2", "6"], "C4 x Cn needs n >= 3, got 2"),
     (["verify", "--range", "3..4", "--parallelism", "-1"], "--parallelism must be >= 0, got -1"),
 ])
 def test_out_of_range_arguments_exit_two(capsys, argv, message):
@@ -587,6 +589,63 @@ def test_out_of_range_arguments_exit_two(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"critgraph: error: {message}\n"
+
+
+_NEGATIVE = "-" + "9" * 4300
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("argv, got", [
+    (["group", "2"], "2"),
+    (["group", "2", "--method", "snf"], "2"),
+    (["treecount", "2", "--check", "matrix"], "2"),
+    (["subgroup", "2", "6"], "2"),
+    (["subgroup", "6", "2"], "2"),
+    (["verify", "--range", "2..5"], "2"),
+    (["group", _NEGATIVE], _NEGATIVE[:77] + "..."),
+    # the ``=`` form keeps argparse from reading the range as an option
+    (["verify", f"--range={_NEGATIVE}..5"], _NEGATIVE[:77] + "..."),
+], ids=["group", "group-snf", "treecount-matrix", "subgroup-n1", "subgroup-n2", "verify",
+        "negative-n", "negative-range"])
+def test_n_below_three_is_one_bounded_line(capsys, json_flag, argv, got):
+    assert run(argv + json_flag) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"critgraph: error: C4 x Cn needs n >= 3, got {got}\n"
+    assert len(err) < 200
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("argv", [
+    ["treecount", "5", "--tolerance", "-1"],
+    ["treecount", "5", "--tolerance", "nan"],
+    ["treecount", "5", "--tolerance", "1e-3"],
+    ["treecount", "5", "--check", "matrix", "--tolerance", "1e-3"],
+])
+def test_tolerance_without_the_trig_check_is_rejected(capsys, json_flag, argv):
+    assert run(argv + json_flag) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "critgraph: error: --tolerance only applies to --check trig and all\n"
+
+
+def test_trig_check_prints_the_library_default_tolerance(capsys):
+    assert run(["treecount", "5", "--check", "trig"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].endswith(", tolerance 1e-09)")
+
+
+def test_valuations_holds_only_the_current_terms(capsys):
+    # two 20001-term tables of e and f held about 120 MB at this size
+    tracemalloc.start()
+    try:
+        assert run(["valuations", "--upto", "20000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000, peak
+    assert capsys.readouterr().out.splitlines() == [
+        f"{label}: ok (n=2..20000 all match)" for label in ("T2(e)", "T2(f)", "T3(e)", "T3(f)")
+    ]
 
 
 def test_unknown_flag_exits_two(capsys):

@@ -443,6 +443,42 @@ def test_pipeline_records_a_wrong_stage_one_multiplier(monkeypatch):
     assert failed == ["seven-term-template", "odd-block-split"]
 
 
+_TEMPLATES = {
+    "seven-term-template": "folded-sequence template",
+    "odd-block-split": "3+4 block-diagonal template",
+    "even-stage-template": "scaled triangular template",
+    "even-block-split": "4+3 block-diagonal template",
+}
+
+
+@pytest.mark.parametrize("fixture, ns, failed", [
+    ("_R2", (5, 7, 9), ["odd-block-split"]),
+    ("_L2", (5, 7, 9), ["odd-block-split"]),
+    ("_R4", (4, 6, 8), ["even-block-split"]),
+    ("_L4", (4, 6, 8), ["even-block-split"]),
+    ("_R3", (4, 6, 8), ["even-stage-template", "even-descale-exact"]),
+])
+def test_pipeline_localizes_a_wrong_multiplier_to_its_stage(monkeypatch, fixture, ns, failed):
+    # the identity is unimodular, so every other stage still passes
+    monkeypatch.setattr(critgroup, fixture, IntegerMatrix.identity(7))
+    for n in ns:
+        failures = verify_reduction_pipeline(n).failures()
+        assert [name for name, _, _ in failures] == failed, n
+        for name, _, detail in failures:
+            if name == "even-descale-exact":
+                assert detail == f"inexact division {n // 2} / 8"
+            else:
+                assert detail == f"product differs from the {_TEMPLATES[name]}"
+
+
+def test_pipeline_names_the_template_of_each_passing_stage():
+    for n in (5, 6):
+        for name, passed, detail in verify_reduction_pipeline(n).stage_checks:
+            assert passed
+            if name in _TEMPLATES:
+                assert detail == f"product equals the {_TEMPLATES[name]}"
+
+
 def test_pipeline_records_an_inexact_descale(monkeypatch):
     def inexact(stage):
         raise ArithmeticError("inexact division 3 / 2")
