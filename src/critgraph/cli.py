@@ -38,16 +38,8 @@ from .critgroup import (
 )
 from .exactla import _clip, _read_int, parse_matrix, snf
 from .graph import _require_c4xcn_n, c4xcn, parse_edge_list
-from .seq import (
-    SeqKind,
-    _valuation_rule,
-    _walk,
-    derived_prefix,
-    observed_valuation,
-    u_prefix,
-    v_prefix,
-)
-from .treecount import tree_count_closed, tree_count_matrix, trig_product_check
+from .seq import SeqKind, _start, _valuation_rule, _walk, observed_valuation, table_texts, u_seq
+from .treecount import _require_tolerance, tree_count_closed, tree_count_matrix, trig_product_check
 
 # Largest vertex count the full-Laplacian route accepts: ``graph-group``,
 # and ``group N --method snf``, ``treecount N --check matrix|all`` and
@@ -56,6 +48,12 @@ from .treecount import tree_count_closed, tree_count_matrix, trig_product_check
 # the +-1 pre-pass and of the dense SNF of the core it leaves, whose
 # entries grow with |V|, and is checked before the Laplacian is built.
 MAX_GRAPH_VERTICES = 1000
+
+# ``valuations`` walks e_n and f_n modulo the product of these powers, so
+# the terms stay about 130 bits long: the exponent of p in a term is read
+# from its residue when p**k does not divide the residue (it is then
+# below k), and from the whole term, by fast doubling, when it does.
+_RESIDUE_POWERS = {2: 2**64, 3: 3**40}
 
 
 class _UsageError(Exception):
@@ -129,10 +127,12 @@ def _cmd_group(args: argparse.Namespace) -> int:
 
 def _cmd_treecount(args: argparse.Namespace) -> int:
     n = args.n
+    if args.tolerance is not None:
+        if args.check not in ("trig", "all"):
+            raise _UsageError("--tolerance only applies to --check trig and all")
+        _require_tolerance(args.tolerance)  # before the count, which can take long
     if args.check in ("matrix", "all"):
         _require_laplacian_size(n)
-    if args.tolerance is not None and args.check not in ("trig", "all"):
-        raise _UsageError("--tolerance only applies to --check trig and all")
     count = tree_count_closed(n)
     count_text = str(count)
     checks: list[dict] = []
@@ -177,12 +177,9 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     if kind in ("u", "v"):
         if m is None:
             raise _UsageError(f"sequence kind '{kind}' requires --m")
-        values = (u_prefix if kind == "u" else v_prefix)(m, upto + 1)
-    else:
-        if m is not None:
-            raise _UsageError("--m only applies to kinds 'u' and 'v'")
-        values = derived_prefix(SeqKind(kind), upto + 1)
-    texts = [str(v) for v in values]
+    elif m is not None:
+        raise _UsageError("--m only applies to kinds 'u' and 'v'")
+    texts = table_texts(kind, m, upto + 1)
     payload = {
         "command": "seq",
         "kind": kind,
@@ -207,18 +204,24 @@ def _cmd_valuations(args: argparse.Namespace) -> int:
         ("T3(e)", SeqKind.E, 3, 0),
         ("T3(f)", SeqKind.F, 3, 1),
     ]
-    # one walk over n that holds only the current e_n and f_n: each index
-    # is factored once for the four families, and a family drops out at
-    # its first mismatch
-    terms = zip(_walk(SeqKind.E.m, 0, 1, upto + 1), _walk(SeqKind.F.m, 0, 1, upto + 1))
+    # one walk over n of the residues of e_n and f_n: each index is
+    # factored once for the four families, and a family drops out at its
+    # first mismatch
+    powers = _RESIDUE_POWERS
+    modulus = powers[2] * powers[3]
+    terms = zip(*(_walk(*_start(kind.value), upto + 1, modulus) for kind in (SeqKind.E, SeqKind.F)))
     first_bad: dict[str, tuple[int, int, int]] = {}
-    for n, term in enumerate(itertools.islice(terms, 2, None), start=2):
+    for n, residues in enumerate(itertools.islice(terms, 2, None), start=2):
         t2, t3 = observed_valuation(n, 2), observed_valuation(n, 3)
         for label, kind, prime, at in families:
             if label in first_bad:
                 continue
             predicted = _valuation_rule(kind, prime, t2, t3)
-            observed = observed_valuation(term[at], prime)
+            residue = residues[at]
+            if residue % powers[prime]:
+                observed = observed_valuation(residue, prime)
+            else:
+                observed = observed_valuation(u_seq(kind.m, n), prime)
             if predicted != observed:
                 first_bad[label] = (n, predicted, observed)
         if len(first_bad) == len(families):

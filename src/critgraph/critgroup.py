@@ -212,15 +212,16 @@ def closed_form_raw_factors(n: int) -> tuple[int, ...]:
     else:
         k, (c3, c4, c5, c6, c7) = s, (1, 1, 4, 12, 48) if s % 2 else (4, 6, 6, 2, 8)
     kx, xy, kxy = gcd(k, x), gcd(x, y), gcd(k, x, y)
-    triple = gcd(k * x, k * y, x * y)
+    x_times_y = x * y
+    triple = gcd(k * xy, x_times_y)  # gcd(kx, ky, xy) = gcd(k gcd(x, y), xy)
     return (
         kxy,
         xy,
         _exact_div(c3 * kx * xy, kxy),
         c4 * x,
         _exact_div(c5 * x * triple, kx * xy),
-        _exact_div(c6 * x * y, xy),
-        _exact_div(c7 * k * x * y, triple),
+        _exact_div(c6 * x_times_y, xy),
+        _exact_div(c7 * k * x_times_y, triple),
     )
 
 

@@ -12,7 +12,10 @@ The four derived sequences used by the C4 x Cn critical-group formulas are
 u_n(m) is the Lucas sequence U_n(P = m+2, Q = 1) and v_n(m) its companion
 V_n.  Two mechanisms compute every term: single terms come from one
 fast-doubling pass over the bits of the index (O(log n) big-integer
-products), and tables from one walk of the recurrence.
+products), and tables from one walk of the recurrence.  The walk runs over
+ints, over exact decimals for printing (the string of a decimal takes time
+linear in its digits, that of an int quadratic time), or over residues for
+the valuations.
 
 Everything here is exact; no floating point, no closed-form surds.  The
 module also predicts the exact 2-adic and 3-adic valuations of e_n and
@@ -22,9 +25,10 @@ even-cycle Smith-normal-form case analysis effective.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, Optional
 
 
 class SeqKind(Enum):
@@ -84,15 +88,31 @@ def _u_pair(m: int, p: int) -> tuple[int, int]:
     return a, b
 
 
-def _walk(m: int, a: int, b: int, count: int) -> Iterator[int]:
+def _walk(m, a, b, count: int, modulus: Optional[int] = None) -> Iterator:
     """The first ``count`` terms of the recurrence started at (a, b), one
     at a time, so that a caller that needs only the current term holds
-    only it."""
+    only it.  The terms have the type of m, a and b (int or an exact
+    ``decimal.Decimal``); with a ``modulus``, they are the residues of the
+    terms modulo it, given reduced seeds."""
     if count < 0:
         raise ValueError("count must be >= 0")
     for _ in range(count):
         yield a
         a, b = b, (m + 2) * b - a
+        if modulus:
+            b %= modulus
+
+
+def _start(kind: str, m: Optional[int] = None) -> tuple[int, int, int]:
+    """(m, x_0, x_1) of the walk of table ``kind``: 'u' or 'v' with the
+    parameter m, or 'e', 'f', 'h' or 'g' with the kind's own m.  h and g
+    obey the recurrence of e and f, from x_0 = u_0 + u_1 = 1 and
+    x_1 = u_1 + u_2 = m + 3."""
+    if kind in ("u", "v"):
+        _check_m(m)
+        return (m, 0, 1) if kind == "u" else (m, 2, m + 2)
+    derived = SeqKind(kind)
+    return (derived.m, 1, derived.m + 3) if derived.summed else (derived.m, 0, 1)
 
 
 def u_seq(m: int, p: int) -> int:
@@ -114,14 +134,12 @@ def v_seq(m: int, p: int) -> int:
 
 def u_prefix(m: int, count: int) -> list[int]:
     """[u_0(m), ..., u_{count-1}(m)] in one pass."""
-    _check_m(m)
-    return list(_walk(m, 0, 1, count))
+    return list(_walk(*_start("u", m), count))
 
 
 def v_prefix(m: int, count: int) -> list[int]:
     """[v_0(m), ..., v_{count-1}(m)] in one pass."""
-    _check_m(m)
-    return list(_walk(m, 2, m + 2, count))
+    return list(_walk(*_start("v", m), count))
 
 
 def derived_seq(kind: SeqKind, n: int) -> int:
@@ -133,12 +151,39 @@ def derived_seq(kind: SeqKind, n: int) -> int:
 
 
 def derived_prefix(kind: SeqKind, count: int) -> list[int]:
-    """[x_0, ..., x_{count-1}] for x = e, f, h or g, in one pass.  h and g
-    obey the recurrence of e and f, from x_0 = u_0 + u_1 = 1 and
-    x_1 = u_1 + u_2 = m + 3."""
+    """[x_0, ..., x_{count-1}] for x = e, f, h or g, in one pass."""
     _check_kind(kind)
-    start = (1, kind.m + 3) if kind.summed else (0, 1)
-    return list(_walk(kind.m, *start, count))
+    return list(_walk(*_start(kind.value), count))
+
+
+def table_texts(kind: str, m: Optional[int], count: int) -> list[str]:
+    """The decimal strings of the first ``count`` terms of table ``kind``
+    ('u' or 'v' with the parameter m, or 'e', 'f', 'h' or 'g' with m None).
+
+    The walk runs over exact decimals: every rounding is trapped, so it
+    raises rather than print a wrong digit.  A term with more digits than
+    the interpreter allows in the string of an int raises the ValueError
+    that ``str`` of that int raises, at the first such term.
+    """
+    import decimal  # here, so that importing the package does not pay for it
+
+    m, a, b = _start(kind, m)
+    exact = decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow,
+               decimal.Inexact, decimal.Rounded],
+    )
+    # 0 means no limit, as on interpreters without the setting
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    texts = []
+    with decimal.localcontext(exact):
+        for term in _walk(*map(decimal.Decimal, (m, a, b)), count):
+            text = str(term)
+            if len(text) > limit > 0:
+                str(int(term))  # raises the interpreter's error for this int
+            texts.append(text)
+    return texts
 
 
 def parity_split(n: int) -> tuple[int, int, int]:

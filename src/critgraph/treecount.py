@@ -54,6 +54,11 @@ def tree_count_matrix(g: Multigraph) -> int:
     return det(sparse_laplacian(g, reduced=True))
 
 
+def _require_tolerance(rel_tolerance: float) -> None:
+    if rel_tolerance <= 0 or not math.isfinite(rel_tolerance):
+        raise ValueError(f"relative tolerance must be positive and finite, got {rel_tolerance}")
+
+
 def _log_big(x: int) -> float:
     """Natural log of a large positive integer: keep the top bits as a
     mantissa (at least 64 significant bits) and add the shifted-out
@@ -76,8 +81,7 @@ def trig_product_check(
     report carries the relative residual and passes iff it is within
     ``rel_tolerance``.
     """
-    if rel_tolerance <= 0 or not math.isfinite(rel_tolerance):
-        raise ValueError(f"relative tolerance must be positive and finite, got {rel_tolerance}")
+    _require_tolerance(rel_tolerance)
     if count is None:
         count = tree_count_closed(n)
     total = 0.0

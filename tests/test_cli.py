@@ -11,7 +11,7 @@ import critgraph
 from critgraph import cli, critgroup, treecount
 from critgraph.cli import MAX_GRAPH_VERTICES, run
 from critgraph.critgroup import closed_form_group
-from critgraph.seq import SeqKind, predicted_valuation
+from critgraph.seq import SeqKind, derived_prefix, predicted_valuation, u_prefix, v_prefix
 
 
 def _json_out(capsys):
@@ -124,19 +124,25 @@ def test_valuations(capsys):
 
 
 def _scale_terms(monkeypatch, changes):
-    """Make the recurrence walks of ``cli._walk`` yield term n of ``kind``
-    multiplied by ``factor``, for each (kind, n, factor) in ``changes``;
-    the walk of e or f is the one with the kind's parameter m."""
-    real = cli._walk
+    """Make the recurrence walks of ``cli._walk``, and the whole terms of
+    ``cli.u_seq`` that stand in for a residue divisible by its modulus,
+    give term n of ``kind`` multiplied by ``factor``, for each (kind, n,
+    factor) in ``changes``; the walk of e or f is the one with the kind's
+    parameter m."""
+    real_walk, real_u_seq = cli._walk, cli.u_seq
 
-    def scaled(m, a, b, count):
-        for n, term in enumerate(real(m, a, b, count)):
-            for k, at, factor in changes:
-                if k.m == m and at == n:
-                    term *= factor
-            yield term
+    def scale(m, n, term):
+        for k, at, factor in changes:
+            if k.m == m and at == n:
+                term *= factor
+        return term
 
-    monkeypatch.setattr(cli, "_walk", scaled)
+    def scaled_walk(m, a, b, count, modulus=None):
+        for n, term in enumerate(real_walk(m, a, b, count, modulus)):
+            yield scale(m, n, term)
+
+    monkeypatch.setattr(cli, "_walk", scaled_walk)
+    monkeypatch.setattr(cli, "u_seq", lambda m, n: scale(m, n, real_u_seq(m, n)))
 
 
 _FAMILIES = [
@@ -193,6 +199,49 @@ def test_valuations_first_mismatch_per_family(capsys, monkeypatch):
         detail = f"first mismatch at n={n}: predicted {p}, observed {p + 1}"
         assert lines[label] == f"{label}: FAIL ({detail})"
         assert {"name": label, "pass": False, "detail": detail} in checks
+
+
+def _small_moduli(monkeypatch):
+    """Walk the residues modulo 2^3 3^2, so that every n with v2 >= 3 or
+    v3 >= 2 in a term takes the whole term; returns the list of (m, n)
+    that ``cli.u_seq`` was called with."""
+    monkeypatch.setattr(cli, "_RESIDUE_POWERS", {2: 2**3, 3: 3**2})
+    calls = []
+    real = cli.u_seq
+
+    def counted(m, n):
+        calls.append((m, n))
+        return real(m, n)
+
+    monkeypatch.setattr(cli, "u_seq", counted)
+    return calls
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_valuations_fall_back_to_the_whole_term(capsys, monkeypatch, json_flag):
+    argv = ["valuations", "--upto", "400", *json_flag]
+    assert run(argv) == 0
+    expected = capsys.readouterr()
+    calls = _small_moduli(monkeypatch)
+    assert run(argv) == 0
+    assert capsys.readouterr() == expected
+    # v2(e_n) >= 3 at 4 | n, v3(e_n) >= 2 at 9 | n, v2(f_n) >= 3 at 8 | n,
+    # v3(f_n) >= 2 at even n with 3 | n
+    assert (SeqKind.E.m, 4) in calls and (SeqKind.E.m, 9) in calls
+    assert (SeqKind.F.m, 6) in calls and (SeqKind.F.m, 8) in calls
+
+
+def test_valuations_fallback_reports_what_the_whole_terms_report(capsys, monkeypatch):
+    # the scaled-term failure tests, on residues small enough that most of
+    # the scaled terms are taken whole
+    for label, kind, prime in _FAMILIES:
+        with monkeypatch.context() as patch:
+            _small_moduli(patch)
+            test_valuations_reports_the_failing_family_only(capsys, patch, label, kind, prime)
+    with monkeypatch.context() as patch:
+        calls = _small_moduli(patch)
+        test_valuations_first_mismatch_per_family(capsys, patch)
+        assert (SeqKind.E.m, 12) in calls and (SeqKind.F.m, 40) in calls
 
 
 def test_subgroup_builds_each_group_once(capsys, monkeypatch):
@@ -685,11 +734,11 @@ def test_parser_built_once_survives_usage_error_and_help(capsys):
     assert cli._parser.cache_info().misses == 1
 
 
-def test_import_leaves_concurrent_futures_unloaded():
-    # the process pool is imported only by verify --parallelism
+def _loaded_by_import(module):
+    """Whether ``import critgraph.cli`` in a fresh interpreter loads ``module``."""
     code = (
-        "import sys; before = 'concurrent.futures' in sys.modules; import critgraph.cli; "
-        "print('concurrent.futures' in sys.modules and not before)"
+        f"import sys; before = {module!r} in sys.modules; import critgraph.cli; "
+        f"print({module!r} in sys.modules and not before)"
     )
     src = str(Path(critgraph.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -698,4 +747,84 @@ def test_import_leaves_concurrent_futures_unloaded():
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True, timeout=60,
     )
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip() == "True"
+
+
+def test_import_leaves_concurrent_futures_unloaded():
+    # the process pool is imported only by verify --parallelism
+    assert not _loaded_by_import("concurrent.futures")
+
+
+def test_import_leaves_decimal_unloaded():
+    # decimal is imported only by the seq tables
+    assert not _loaded_by_import("decimal")
+
+
+def _table(kind, m, count):
+    if kind == "u":
+        return u_prefix(m, count)
+    if kind == "v":
+        return v_prefix(m, count)
+    return derived_prefix(SeqKind(kind), count)
+
+
+@pytest.mark.parametrize(
+    "kind, m",
+    [(kind, None) for kind in "efhg"] + [(kind, m) for kind in "uv" for m in (1, 2, 3, 7, 10**50)],
+    ids=lambda value: "10**50" if value == 10**50 else None,
+)
+def test_seq_table_equals_the_int_table(capsys, kind, m):
+    # where the int strings hit the digit limit, the table fails with their error
+    m_flag = [] if m is None else ["--m", str(m)]
+    for upto in (0, 1, 2, 1500):
+        try:
+            texts = [str(v) for v in _table(kind, m, upto + 1)]
+        except ValueError as exc:
+            texts, error = None, f"critgraph: error: {exc}\n"
+        for json_flag in ([], ["--json"]):
+            rc = run(["seq", kind, "--upto", str(upto), *m_flag, *json_flag])
+            out, err = capsys.readouterr()
+            if texts is None:
+                assert (rc, out, err) == (2, "", error)
+            elif json_flag:
+                assert (rc, json.loads(out)["values"], err) == (0, texts, "")
+            else:
+                lines = [f"{i} {text}" for i, text in enumerate(texts)]
+                assert (rc, out.splitlines(), err) == (0, lines, "")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("argv", [
+    # f_n has about 0.77 n digits, and u_3 = (m + 2)^2 - 1 twice the digits of m
+    lambda limit: ["seq", "f", "--upto", str(limit * 6000 // 4300)],
+    lambda limit: ["seq", "u", "--m", "9" * (limit * 4000 // 4300), "--upto", "3"],
+], ids=["f-upto-6000", "u-m-4000-digits"])
+def test_seq_table_over_the_digit_limit_fails_as_int_strings_do(capsys, json_flag, argv):
+    limit, _ = _over_digit_limit()
+    with pytest.raises(ValueError) as raised:
+        str(10**limit)
+    assert f"Exceeds the limit ({limit} digits)" in str(raised.value)
+    assert run(argv(limit) + json_flag) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"critgraph: error: {raised.value}\n"
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("check", ["trig", "all"])
+@pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
+def test_bad_tolerance_is_rejected_before_the_count(
+    capsys, monkeypatch, json_flag, check, tolerance
+):
+    # the count of n = 300000 takes long, and its string is over the digit limit
+    def no_count(n):
+        raise AssertionError("counted before the tolerance was checked")
+
+    monkeypatch.setattr(cli, "tree_count_closed", no_count)
+    argv = ["treecount", "300000", "--check", check, f"--tolerance={tolerance}", *json_flag]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"critgraph: error: relative tolerance must be positive and finite, got {float(tolerance)}\n"
+    )

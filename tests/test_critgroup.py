@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from critgraph.critgroup import (
 from critgraph import critgroup, graph, treecount
 from critgraph.exactla import IntegerMatrix, SparseMatrix, det_bareiss, is_unimodular, snf
 from critgraph.graph import Multigraph, c4xcn, cycle, laplacian
+from critgraph.seq import parity_split
 from critgraph.treecount import tree_count_closed, tree_count_matrix
 
 
@@ -257,6 +259,29 @@ def test_raw_factors_multiply_to_group_order():
         for f in raw:
             prod *= f
         assert prod == closed_form_group(n).order
+
+
+def test_raw_factors_equal_the_three_term_gcd_expression():
+    # the oracle takes gcd(kx, ky, xy) of three products, as the paper writes it
+    gcd = math.gcd
+    for n in range(3, 3001):
+        s, x, y = parity_split(n)
+        if n % 2:
+            k, (c3, c4, c5, c6, c7) = n, (1, 1, 1, 1, 4)
+        else:
+            k, (c3, c4, c5, c6, c7) = s, (1, 1, 4, 12, 48) if s % 2 else (4, 6, 6, 2, 8)
+        kx, xy, kxy = gcd(k, x), gcd(x, y), gcd(k, x, y)
+        triple = gcd(k * x, k * y, x * y)
+        oracle = (
+            kxy,
+            xy,
+            c3 * kx * xy // kxy,
+            c4 * x,
+            c5 * x * triple // (kx * xy),
+            c6 * x * y // xy,
+            c7 * k * x * y // triple,
+        )
+        assert closed_form_raw_factors(n) == oracle, n
 
 
 def test_three_way_agreement_small():
