@@ -6,7 +6,8 @@ Subcommands, one per capability:
                    relations matrix, or full Laplacian SNF)
   treecount N      spanning-tree count with optional cross-checks
   seq KIND         sequence table (e, f, h, g, or raw u/v with --m)
-  valuations       predicted vs observed 2- and 3-adic valuations
+  valuations       predicted vs observed 2- and 3-adic valuations of
+                   e_n and f_n for 2 <= n <= --upto (at most 200000)
   subgroup N1 N2   factorwise subgroup test between two critical groups
   snf              Smith normal form of a matrix file
   graph-group      critical group of a graph given as an edge list
@@ -25,6 +26,7 @@ import functools
 import itertools
 import json
 import os
+import re
 import sys
 import time
 
@@ -49,15 +51,23 @@ from .treecount import _require_tolerance, tree_count_closed, tree_count_matrix,
 # entries grow with |V|, and is checked before the Laplacian is built.
 MAX_GRAPH_VERTICES = 1000
 
-# ``valuations`` walks e_n and f_n modulo the product of these powers, so
-# the terms stay about 130 bits long: the exponent of p in a term is read
-# from its residue when p**k does not divide the residue (it is then
-# below k), and from the whole term, by fast doubling, when it does.
-_RESIDUE_POWERS = {2: 2**64, 3: 3**40}
+# Largest ``valuations --upto``: the run walks every n up to it, in time
+# linear in it, and is checked before the walk.
+MAX_VALUATIONS_UPTO = 200_000
 
 
 class _UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose own usage errors (an unknown subcommand,
+    option or extra argument) echo each token clipped to 80 characters,
+    inside its quotes if it has them, and the whole message clipped to
+    240; the subparsers are of this class too."""
+
+    def error(self, message: str):
+        super().error(_clip(re.sub(r"[^\s']{81,}", lambda token: _clip(token[0]), message), 240))
 
 
 def _emit(payload: dict, args: argparse.Namespace, text_lines: list[str]) -> None:
@@ -197,6 +207,8 @@ def _cmd_valuations(args: argparse.Namespace) -> int:
     upto = args.upto
     if upto < 2:
         raise _UsageError(f"--upto must be >= 2, got {_clip(str(upto))}")
+    if upto > MAX_VALUATIONS_UPTO:
+        raise _UsageError(f"--upto must be <= {MAX_VALUATIONS_UPTO}, got {_clip(str(upto))}")
     # (label, kind, prime, position of the kind's term in (e_n, f_n))
     families = [
         ("T2(e)", SeqKind.E, 2, 0),
@@ -204,26 +216,24 @@ def _cmd_valuations(args: argparse.Namespace) -> int:
         ("T3(e)", SeqKind.E, 3, 0),
         ("T3(f)", SeqKind.F, 3, 1),
     ]
-    # one walk over n of the residues of e_n and f_n: each index is
-    # factored once for the four families, and a family drops out at its
-    # first mismatch
-    powers = _RESIDUE_POWERS
-    modulus = powers[2] * powers[3]
-    terms = zip(*(_walk(*_start(kind.value), upto + 1, modulus) for kind in (SeqKind.E, SeqKind.F)))
+    # one walk over n of the residues of e_n and f_n modulo 6**top, which
+    # p**(k+1) divides for every exponent k the rule predicts (p**t | n <=
+    # upto gives t < upto.bit_length(), and k <= t + 1), so the residue
+    # decides exactly whether p**k is the power of p in the term; each index
+    # is factored once, a family drops out at its first mismatch, and only
+    # a mismatch takes the whole term, for the exponent it reports
+    top = upto.bit_length() + 1
+    terms = zip(*(_walk(*_start(kind.value), upto + 1, 6**top) for kind in (SeqKind.E, SeqKind.F)))
     first_bad: dict[str, tuple[int, int, int]] = {}
     for n, residues in enumerate(itertools.islice(terms, 2, None), start=2):
         t2, t3 = observed_valuation(n, 2), observed_valuation(n, 3)
         for label, kind, prime, at in families:
             if label in first_bad:
                 continue
-            predicted = _valuation_rule(kind, prime, t2, t3)
+            k = _valuation_rule(kind, prime, t2, t3)
             residue = residues[at]
-            if residue % powers[prime]:
-                observed = observed_valuation(residue, prime)
-            else:
-                observed = observed_valuation(u_seq(kind.m, n), prime)
-            if predicted != observed:
-                first_bad[label] = (n, predicted, observed)
+            if residue % prime**k or not residue % prime**(k + 1):
+                first_bad[label] = (n, k, observed_valuation(u_seq(kind.m, n), prime))
         if len(first_bad) == len(families):
             break
     checks = []
@@ -370,7 +380,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _parser() -> argparse.ArgumentParser:
     """The command's parser, built on the first call and kept for the
     process; ``parse_args`` fills a fresh namespace on every call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="critgraph",
         description="Exact critical groups and spanning-tree counts of graphs.",
     )

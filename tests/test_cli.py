@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -9,9 +10,11 @@ import pytest
 
 import critgraph
 from critgraph import cli, critgroup, treecount
-from critgraph.cli import MAX_GRAPH_VERTICES, run
+from critgraph.cli import MAX_GRAPH_VERTICES, MAX_VALUATIONS_UPTO, run
 from critgraph.critgroup import closed_form_group
-from critgraph.seq import SeqKind, derived_prefix, predicted_valuation, u_prefix, v_prefix
+from critgraph.seq import (
+    SeqKind, derived_prefix, observed_valuation, predicted_valuation, u_prefix, v_prefix,
+)
 
 
 def _json_out(capsys):
@@ -125,10 +128,9 @@ def test_valuations(capsys):
 
 def _scale_terms(monkeypatch, changes):
     """Make the recurrence walks of ``cli._walk``, and the whole terms of
-    ``cli.u_seq`` that stand in for a residue divisible by its modulus,
-    give term n of ``kind`` multiplied by ``factor``, for each (kind, n,
-    factor) in ``changes``; the walk of e or f is the one with the kind's
-    parameter m."""
+    ``cli.u_seq`` that a mismatch reports, give term n of ``kind``
+    multiplied by ``factor``, for each (kind, n, factor) in ``changes``;
+    the walk of e or f is the one with the kind's parameter m."""
     real_walk, real_u_seq = cli._walk, cli.u_seq
 
     def scale(m, n, term):
@@ -201,11 +203,8 @@ def test_valuations_first_mismatch_per_family(capsys, monkeypatch):
         assert {"name": label, "pass": False, "detail": detail} in checks
 
 
-def _small_moduli(monkeypatch):
-    """Walk the residues modulo 2^3 3^2, so that every n with v2 >= 3 or
-    v3 >= 2 in a term takes the whole term; returns the list of (m, n)
-    that ``cli.u_seq`` was called with."""
-    monkeypatch.setattr(cli, "_RESIDUE_POWERS", {2: 2**3, 3: 3**2})
+def _count_u_seq(monkeypatch):
+    """Record in the returned list the (m, n) of every ``cli.u_seq`` call."""
     calls = []
     real = cli.u_seq
 
@@ -217,31 +216,64 @@ def _small_moduli(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
-def test_valuations_fall_back_to_the_whole_term(capsys, monkeypatch, json_flag):
-    argv = ["valuations", "--upto", "400", *json_flag]
-    assert run(argv) == 0
-    expected = capsys.readouterr()
-    calls = _small_moduli(monkeypatch)
-    assert run(argv) == 0
-    assert capsys.readouterr() == expected
-    # v2(e_n) >= 3 at 4 | n, v3(e_n) >= 2 at 9 | n, v2(f_n) >= 3 at 8 | n,
-    # v3(f_n) >= 2 at even n with 3 | n
-    assert (SeqKind.E.m, 4) in calls and (SeqKind.E.m, 9) in calls
-    assert (SeqKind.F.m, 6) in calls and (SeqKind.F.m, 8) in calls
-
-
-def test_valuations_fallback_reports_what_the_whole_terms_report(capsys, monkeypatch):
-    # the scaled-term failure tests, on residues small enough that most of
-    # the scaled terms are taken whole
-    for label, kind, prime in _FAMILIES:
-        with monkeypatch.context() as patch:
-            _small_moduli(patch)
-            test_valuations_reports_the_failing_family_only(capsys, patch, label, kind, prime)
+def test_valuations_builds_a_whole_term_only_for_a_mismatch(capsys, monkeypatch):
     with monkeypatch.context() as patch:
-        calls = _small_moduli(patch)
-        test_valuations_first_mismatch_per_family(capsys, patch)
-        assert (SeqKind.E.m, 12) in calls and (SeqKind.F.m, 40) in calls
+        calls = _count_u_seq(patch)
+        assert run(["valuations", "--upto", "3000"]) == 0
+        assert calls == []
+    capsys.readouterr()
+    # T2(e) fails at 12 (the scaled e_30 comes after it), T2(f) at 7 and
+    # T3(e) at 50; T3(f) passes
+    _scale_terms(monkeypatch, [
+        (SeqKind.E, 30, 2), (SeqKind.E, 12, 2),
+        (SeqKind.F, 7, 2),
+        (SeqKind.E, 50, 3),
+    ])
+    calls = _count_u_seq(monkeypatch)
+    assert run(["valuations", "--upto", "60"]) == 1
+    assert calls == [(SeqKind.F.m, 7), (SeqKind.E.m, 12), (SeqKind.E.m, 50)]
+    capsys.readouterr()
+
+
+# the walk's modulus 6**top, top = upto.bit_length() + 1, is tightest for
+# p = 2 at n = upto = 2**j, where v2(e_n) = j + 1 and the residue must
+# decide whether 2**(j+2) divides the term; 2**j - 1 sits just below it,
+# and 2 * 3**j puts a high power of 3 at n = upto
+_TIGHT_UPTOS = sorted(
+    {2**j - 1 for j in range(2, 12)} | {2**j for j in range(1, 12)} | {2 * 3**j for j in range(7)}
+)
+
+
+@pytest.mark.parametrize("upto", _TIGHT_UPTOS)
+def test_valuations_at_the_tightest_modulus(capsys, upto):
+    # the oracle: exact valuations of the whole terms, walked as ints
+    terms = {kind: u_prefix(kind.m, upto + 1) for kind in (SeqKind.E, SeqKind.F)}
+    exact = {
+        label: all(
+            observed_valuation(terms[kind][n], prime)
+            == predicted_valuation(kind, prime, n).predicted_exponent
+            for n in range(2, upto + 1)
+        )
+        for label, kind, prime in _FAMILIES
+    }
+    assert run(["valuations", "--upto", str(upto), "--json"]) == (0 if all(exact.values()) else 1)
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {check["name"]: check["pass"] for check in checks} == exact
+
+
+def test_valuations_upto_is_capped(capsys):
+    start = time.monotonic()
+    assert run(["valuations", "--upto", str(MAX_VALUATIONS_UPTO)]) == 0
+    assert time.monotonic() - start < 60
+    assert capsys.readouterr().out.splitlines()[0] == f"T2(e): ok (n=2..{MAX_VALUATIONS_UPTO} all match)"
+    over = str(MAX_VALUATIONS_UPTO + 1)
+    for upto, got in ((over, over), ("9" * 4300, "9" * 77 + "...")):
+        for json_flag in ([], ["--json"]):
+            assert run(["valuations", "--upto", upto, *json_flag]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"critgraph: error: --upto must be <= {MAX_VALUATIONS_UPTO}, got {got}\n"
+            assert len(err) < 200
 
 
 def test_subgroup_builds_each_group_once(capsys, monkeypatch):
@@ -695,6 +727,24 @@ def test_valuations_holds_only_the_current_terms(capsys):
     assert capsys.readouterr().out.splitlines() == [
         f"{label}: ok (n=2..20000 all match)" for label in ("T2(e)", "T2(f)", "T3(e)", "T3(f)")
     ]
+
+
+_LONG = "x" * 5000
+
+
+@pytest.mark.parametrize("argv, echoed", [
+    ([_LONG], "invalid choice: '" + _LONG[:77] + "...' (choose from "),
+    (["group", "5", _LONG], "unrecognized arguments: " + _LONG[:77] + "..."),
+    (["group", "5", "--" + _LONG], "unrecognized arguments: --" + _LONG[:75] + "..."),
+    (["group", "5", *["y"] * 3000], "unrecognized arguments: y y y"),
+], ids=["subcommand", "positional", "option", "many-tokens"])
+def test_argparse_errors_echo_clipped_tokens(capsys, argv, echoed):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].startswith("critgraph: error: ")
+    assert echoed in err
+    assert len(err) < 400
 
 
 def test_unknown_flag_exits_two(capsys):
