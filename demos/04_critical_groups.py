@@ -34,15 +34,11 @@ for n in range(3, 9):
     assert closed == group_via_relations(n) == group_of_graph(c4xcn(n))
     print(f"  K(C4 x C{n}) = {closed}   (order {closed.order})")
 
-print("\nRaw closed-form tuple vs canonical chain for n=6:")
-print("  raw:      ", closed_form_raw_factors(6))
-print("  canonical:", closed_form_group(6).invariant_factors)
-raw_is_chain = all(
-    b % a == 0
-    for a, b in zip(closed_form_raw_factors(6), closed_form_raw_factors(6)[1:])
-    if a
-)
-print("  raw tuple already a chain:", raw_is_chain)
+print("\nThe seven-term closed form for n=6 is already a divisibility chain:")
+raw = closed_form_raw_factors(6)
+print("  seven terms:      ", raw)
+print("  divisibility chain:", all(b % a == 0 for a, b in zip(raw, raw[1:])))
+print("  1s stripped:      ", closed_form_group(6).invariant_factors)
 
 print("\nDivisor pairs give subgroups (factorwise divisibility):")
 for n1, n2 in ((3, 6), (3, 9), (4, 8), (5, 10), (3, 4)):

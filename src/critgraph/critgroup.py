@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .exactla import (
@@ -32,7 +32,7 @@ from .exactla import (
     snf,
 )
 from .graph import Multigraph, _require_c4xcn_n, sparse_laplacian
-from .seq import _u_pair, parity_split, u_seq
+from .seq import _u_pair, parity_split, u_prefix, u_seq
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,15 @@ class AbelianGroup:
     invariant_factors: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # the errors name positions (1-based), not values: a factor may
+        # have more digits than the interpreter converts to a string
         fs = self.invariant_factors
-        if any(f < 2 for f in fs):
-            raise ValueError(f"invariant factors must be >= 2, got {fs}")
-        if any(fs[i + 1] % fs[i] for i in range(len(fs) - 1)):
-            raise ValueError(f"invariant factors must form a divisibility chain, got {fs}")
+        low = next((i for i, f in enumerate(fs, 1) if f < 2), None)
+        if low:
+            raise ValueError(f"invariant factors must be >= 2, but factor {low} is not")
+        bad = next((i for i in range(1, len(fs)) if fs[i] % fs[i - 1]), None)
+        if bad:
+            raise ValueError(f"invariant factor {bad} does not divide invariant factor {bad + 1}")
 
     @classmethod
     def from_factors(cls, factors) -> "AbelianGroup":
@@ -94,7 +98,7 @@ class PipelineReport:
     detail) triple per stage."""
 
     n: int
-    stage_checks: list[tuple[str, bool, str]] = field(default_factory=list)
+    stage_checks: tuple[tuple[str, bool, str], ...] = ()
 
     @property
     def all_passed(self) -> bool:
@@ -111,38 +115,35 @@ def _exact_div(num: int, den: int) -> int:
     return quot
 
 
+def _circulant_block(i: int, e: int, f: int) -> list[list[int]]:
+    """Layer i's symmetric 4x4 circulant (a, b, c, b), from e = e_i and
+    f = f_i.  Closed forms (all divisions exact):
+
+        a = (i + f_i + 2 e_i) / 4,  b = (i - f_i) / 4,  c = (i + f_i - 2 e_i) / 4
+    """
+    a = _exact_div(i + f + 2 * e, 4)
+    b = _exact_div(i - f, 4)
+    c = _exact_div(i + f - 2 * e, 4)
+    return [[a, b, c, b], [b, a, b, c], [c, b, a, b], [b, c, b, a]]
+
+
 def coeffs(i: int) -> ReductionCoeffs:
-    """Layer-expansion coefficients at index i.
-
-    Closed forms (all divisions exact):
-
-        a = (i + f_i + 2 e_i) / 4
-        b = (i - f_i) / 4
-        c = (i + f_i - 2 e_i) / 4
+    """Layer-expansion coefficients at index i >= 0: the first row of
+    :func:`_circulant_block`.
 
     They satisfy a + 2b + c = i and the coupled recurrences
     a' = 4a - 2b - a_prev, b' = 4b - (a + c) - b_prev, c' = 4c - 2b - c_prev.
     """
-    if i < 0:
-        raise ValueError(f"index must be >= 0, got {i}")
-    e, f = u_seq(2, i), u_seq(4, i)
-    return ReductionCoeffs(
-        i=i,
-        a=_exact_div(i + f + 2 * e, 4),
-        b=_exact_div(i - f, 4),
-        c=_exact_div(i + f - 2 * e, 4),
-    )
+    a, b, c, _ = _circulant_block(i, u_seq(2, i), u_seq(4, i))[0]
+    return ReductionCoeffs(i=i, a=a, b=b, c=c)
 
 
-def _circulant_block(i: int) -> list[list[int]]:
-    """Symmetric 4x4 circulant (a, b, c, b) built from coeffs(i)."""
-    c = coeffs(i)
-    return [
-        [c.a, c.b, c.c, c.b],
-        [c.b, c.a, c.b, c.c],
-        [c.c, c.b, c.a, c.b],
-        [c.b, c.c, c.b, c.a],
-    ]
+def _terms_around(n: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """(e_{n-1}, e_n, e_{n+1}) and (f_{n-1}, f_n, f_{n+1}): one fast-doubling
+    pass per sequence and one step of its recurrence."""
+    e_before, e_n = _u_pair(2, n - 1)
+    f_before, f_n = _u_pair(4, n - 1)
+    return (e_before, e_n, 4 * e_n - e_before), (f_before, f_n, 6 * f_n - f_before)
 
 
 def relations_matrix(n: int) -> IntegerMatrix:
@@ -155,9 +156,7 @@ def relations_matrix(n: int) -> IntegerMatrix:
     column be split off as a rank-one zero block.
     """
     _require_c4xcn_n(n)
-    top = _circulant_block(n + 1)
-    mid = _circulant_block(n)
-    bot = _circulant_block(n - 1)
+    bot, mid, top = map(_circulant_block, (n - 1, n, n + 1), *_terms_around(n))
     rows = [top[r] + [-x for x in mid[r]] for r in range(4)]
     rows += [mid[r] + [-x for x in bot[r]] for r in range(4)]
     return IntegerMatrix(
@@ -190,7 +189,8 @@ def group_via_relations(n: int) -> AbelianGroup:
 
 
 def closed_form_raw_factors(n: int) -> tuple[int, ...]:
-    """The seven cyclic orders of K(C4 x Cn) before canonicalization.
+    """The seven cyclic orders of K(C4 x Cn) in divisibility order: the
+    invariant factors, 1s included.
 
     One tuple in k, x, y and five scales c3..c7 that depend on the case:
 
@@ -202,7 +202,11 @@ def closed_form_raw_factors(n: int) -> tuple[int, ...]:
         n = 2s, s odd     s   e_s  f_s    1   1   4  12  48
         n = 2s, s even    s   e_s  f_s    4   6   6   2   8
 
-    All divisions are checked exact at runtime.
+    All divisions are checked exact at runtime.  Each step t_i | t_{i+1}
+    divides gcds into gcds and c_i into c_{i+1}, except t3 | t4 and t5 | t6
+    for n = 2s with s even (4 does not divide 6, nor 6 divide 2); these hold
+    because v2(e_s) = v2(s) + 1, v2(f_s) = v2(s), v3(e_s) = v3(s) and
+    v3(f_s) = v3(s) + 1 (:func:`critgraph.seq.predicted_valuation`).
     """
     _require_c4xcn_n(n)
     gcd = math.gcd
@@ -226,10 +230,9 @@ def closed_form_raw_factors(n: int) -> tuple[int, ...]:
 
 
 def closed_form_group(n: int) -> AbelianGroup:
-    """Critical group of C4 x Cn by the closed-form seven-term tuple,
-    canonicalized into a divisibility chain with trivial factors
-    stripped."""
-    return AbelianGroup.from_factors(closed_form_raw_factors(n))
+    """Critical group of C4 x Cn by the closed-form seven-term chain,
+    trivial factors stripped."""
+    return AbelianGroup(tuple(f for f in closed_form_raw_factors(n) if f > 1))
 
 
 def subgroup_check(n1: int, n2: int) -> bool:
@@ -251,12 +254,8 @@ def subgroup_check(n1: int, n2: int) -> bool:
 def factorwise_subgroup(g1: AbelianGroup, g2: AbelianGroup) -> bool:
     """The factorwise criterion of :func:`subgroup_check`, applied to two
     groups the caller already has."""
-    f1 = list(g1.invariant_factors)
-    f2 = list(g2.invariant_factors)
-    width = max(len(f1), len(f2))
-    f1 = [1] * (width - len(f1)) + f1
-    f2 = [1] * (width - len(f2)) + f2
-    return all(b % a == 0 for a, b in zip(f1, f2))
+    f1, f2 = g1.invariant_factors, g2.invariant_factors
+    return len(f1) <= len(f2) and all(b % a == 0 for a, b in zip(reversed(f1), reversed(f2)))
 
 
 def verify_layer_expansion(n: int) -> bool:
@@ -265,30 +264,18 @@ def verify_layer_expansion(n: int) -> bool:
     layer i carries exactly the circulant of coeffs(i) on layer 1 and
     minus the circulant of coeffs(i-1) on layer 0, for every 1 <= i <= n."""
     _require_c4xcn_n(n)
-
-    def basis(layer: int, j: int) -> list[int]:
-        v = [0] * 8
-        v[4 * layer + j] = 1
-        return v
-
-    layers = [[basis(0, j) for j in range(4)], [basis(1, j) for j in range(4)]]
-    for i in range(1, n):
-        prev, cur = layers[i - 1], layers[i]
-        layers.append(
-            [
-                [
-                    4 * cur[j][k] - cur[(j + 1) % 4][k] - cur[(j - 1) % 4][k] - prev[j][k]
-                    for k in range(8)
-                ]
-                for j in range(4)
-            ]
-        )
-
-    before = _circulant_block(0)
+    es, fs = u_prefix(2, n + 1), u_prefix(4, n + 1)
+    unit = [[int(j == k) for k in range(8)] for j in range(8)]
+    prev, cur = unit[:4], unit[4:]  # layers 0 and 1
+    before = _circulant_block(0, es[0], fs[0])
     for i in range(1, n + 1):
-        block = _circulant_block(i)
-        if layers[i] != [[-x for x in p] + c for p, c in zip(before, block)]:
+        block = _circulant_block(i, es[i], fs[i])
+        if cur != [[-x for x in p] + c for p, c in zip(before, block)]:
             return False
+        prev, cur = cur, [
+            [4 * cur[j][k] - cur[(j + 1) % 4][k] - cur[(j - 1) % 4][k] - prev[j][k] for k in range(8)]
+            for j in range(4)
+        ]
         before = block
     return True
 
@@ -398,10 +385,9 @@ def _seven_template(n: int) -> IntegerMatrix:
     """The 7x7 matrix that the first stage lands on, written in the
      'folded' sequences p_i = e_i + e_{n-i} and q_i = f_i + f_{n-i}."""
     # e_{-1}, e_0, e_1 = -1, 0, 1: p_{-1}, p_0, p_1 = e_{n+1} - 1, e_n, e_{n-1} + 1 (q alike in f)
-    e_before, e_n = _u_pair(2, n - 1)
-    f_before, f_n = _u_pair(4, n - 1)
-    p = {-1: 4 * e_n - e_before - 1, 0: e_n, 1: e_before + 1}
-    q = {-1: 6 * f_n - f_before - 1, 0: f_n, 1: f_before + 1}
+    (e_before, e_n, e_after), (f_before, f_n, f_after) = _terms_around(n)
+    p = {-1: e_after - 1, 0: e_n, 1: e_before + 1}
+    q = {-1: f_after - 1, 0: f_n, 1: f_before + 1}
     return IntegerMatrix([
         [0, 0, 0, n, n, 0, 0],
         [0, p[-1], p[0], 0, 0, 0, 0],
@@ -551,4 +537,4 @@ def verify_reduction_pipeline(n: int) -> PipelineReport:
         f"final-stage SNF {got} != closed form {expected}",
     )
 
-    return PipelineReport(n=n, stage_checks=checks)
+    return PipelineReport(n=n, stage_checks=tuple(checks))

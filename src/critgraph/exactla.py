@@ -52,7 +52,8 @@ class IntegerMatrix:
     __slots__ = ("_rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        data = [[int(x) for x in row] for row in rows]
+        # operator.index rejects floats and the like instead of truncating them
+        data = [list(map(operator.index, row)) for row in rows]
         if not data or not data[0]:
             raise ValueError("matrix must have at least one row and one column")
         width = len(data[0])

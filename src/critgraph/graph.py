@@ -7,6 +7,7 @@ encoded as ``4*i + j`` so each C4 layer occupies a contiguous index block.
 
 from __future__ import annotations
 
+import operator
 from typing import Mapping
 
 from .exactla import IntegerMatrix, SparseMatrix, _clip, _read_int
@@ -23,11 +24,14 @@ class Multigraph:
     __slots__ = ("_n", "_edges")
 
     def __init__(self, vertex_count: int, edges: Mapping[tuple[int, int], int] | None = None):
+        # operator.index rejects floats and the like instead of truncating them
+        vertex_count = operator.index(vertex_count)
         if vertex_count < 1:
             raise ValueError(f"vertex count must be >= 1, got {vertex_count}")
         self._n = vertex_count
         cleaned: dict[tuple[int, int], int] = {}
         for (u, v), mult in (edges or {}).items():
+            u, v, mult = operator.index(u), operator.index(v), operator.index(mult)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u} is not allowed")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
@@ -35,7 +39,7 @@ class Multigraph:
             if mult < 1:
                 raise ValueError(f"edge ({u}, {v}) has non-positive multiplicity {mult}")
             key = _edge_key(u, v)
-            cleaned[key] = cleaned.get(key, 0) + int(mult)
+            cleaned[key] = cleaned.get(key, 0) + mult
         self._edges = cleaned
 
     @property

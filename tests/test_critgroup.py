@@ -16,9 +16,11 @@ from critgraph.critgroup import (
     _U,
     _descale_even_stage,
     AbelianGroup,
+    PipelineReport,
     closed_form_group,
     closed_form_raw_factors,
     coeffs,
+    factorwise_subgroup,
     group_of_graph,
     group_via_relations,
     relations_matrix,
@@ -27,7 +29,14 @@ from critgraph.critgroup import (
     verify_reduction_pipeline,
 )
 from critgraph import critgroup, graph, treecount
-from critgraph.exactla import IntegerMatrix, SparseMatrix, det_bareiss, is_unimodular, snf
+from critgraph.exactla import (
+    IntegerMatrix,
+    SparseMatrix,
+    canonical_chain,
+    det_bareiss,
+    is_unimodular,
+    snf,
+)
 from critgraph.graph import Multigraph, c4xcn, cycle, laplacian
 from critgraph.seq import parity_split
 from critgraph.treecount import tree_count_closed, tree_count_matrix
@@ -51,6 +60,17 @@ def test_group_from_factors_canonicalizes():
     assert AbelianGroup.from_factors([1]) == AbelianGroup(())
     assert str(AbelianGroup((2, 6))) == "Z2 x Z6"
     assert str(AbelianGroup(())) == "trivial"
+
+
+def test_group_validation_names_positions_not_values():
+    # the values have more digits than str() converts, or than fit a message
+    for big in (10**5000, 10**4000 + 1):
+        with pytest.raises(ValueError) as info:
+            AbelianGroup((3, big))
+        assert str(info.value) == "invariant factor 1 does not divide invariant factor 2"
+    with pytest.raises(ValueError) as info:
+        AbelianGroup((2, 4, 1))
+    assert str(info.value) == "invariant factors must be >= 2, but factor 3 is not"
 
 
 # -- coefficients ----------------------------------------------------------
@@ -116,6 +136,41 @@ def test_relations_matrix_recorded_value():
         [194, -296, 403, -296, -24, 50, -81, 50],
         [-296, 194, -296, 403, 50, -24, 50, -81],
     ]
+
+
+def _circulant(c):
+    return [[c.a, c.b, c.c, c.b], [c.b, c.a, c.b, c.c], [c.c, c.b, c.a, c.b], [c.b, c.c, c.b, c.a]]
+
+
+def test_relations_matrix_blocks_are_the_coeffs_circulants():
+    for n in range(3, 301):
+        top, mid, bot = (_circulant(coeffs(i)) for i in (n + 1, n, n - 1))
+        expected = [
+            [x - (r == j) for j, x in enumerate(top[r])] + [-x for x in mid[r]] for r in range(4)
+        ]
+        expected += [mid[r] + [-x - (r == j) for j, x in enumerate(bot[r])] for r in range(4)]
+        assert relations_matrix(n).to_lists() == expected, n
+
+
+def _refuse(*args):
+    raise AssertionError("called")
+
+
+def test_relations_matrix_reads_each_sequence_once(monkeypatch):
+    expected = {n: relations_matrix(n) for n in (3, 4, 5, 40, 41)}
+    real, calls = critgroup._u_pair, []
+
+    def counted(m, p):
+        calls.append((m, p))
+        return real(m, p)
+
+    monkeypatch.setattr(critgroup, "coeffs", _refuse)
+    monkeypatch.setattr(critgroup, "u_seq", _refuse)
+    monkeypatch.setattr(critgroup, "_u_pair", counted)
+    for n, m in expected.items():
+        calls.clear()
+        assert relations_matrix(n) == m
+        assert calls == [(2, n - 1), (4, n - 1)]
 
 
 def test_relations_matrix_negated_line_sums_vanish():
@@ -284,6 +339,23 @@ def test_raw_factors_equal_the_three_term_gcd_expression():
         assert closed_form_raw_factors(n) == oracle, n
 
 
+def test_raw_factors_form_a_divisibility_chain():
+    for n in [*range(3, 3001), 4096, 5184, 10368, 20000]:
+        raw = closed_form_raw_factors(n)
+        assert all(b % a == 0 for a, b in zip(raw, raw[1:])), n
+
+
+def test_closed_form_group_takes_the_chain_as_it_is(monkeypatch):
+    expected = {
+        n: tuple(f for f in canonical_chain(closed_form_raw_factors(n)) if f > 1)
+        for n in range(3, 100)
+    }
+    monkeypatch.setattr(critgroup, "canonical_chain", _refuse)
+    monkeypatch.setattr(AbelianGroup, "from_factors", classmethod(_refuse))
+    for n, factors in expected.items():
+        assert closed_form_group(n).invariant_factors == factors, n
+
+
 def test_three_way_agreement_small():
     for n in range(3, 13):
         a = closed_form_group(n)
@@ -297,6 +369,23 @@ def test_subgroup_examples():
     assert not subgroup_check(3, 4)
     for n in (3, 4, 5, 10):
         assert subgroup_check(n, n)
+
+
+def test_factorwise_subgroup_matches_the_padded_rule():
+    rng = random.Random(4)
+
+    def chain():
+        factors = [rng.randint(2, 6)]
+        for _ in range(rng.randrange(6)):
+            factors.append(factors[-1] * rng.randint(1, 4))
+        return factors[: rng.randrange(len(factors) + 1)]
+
+    for _ in range(2000):
+        f1, f2 = chain(), chain()
+        width = max(len(f1), len(f2))
+        p1, p2 = [1] * (width - len(f1)) + f1, [1] * (width - len(f2)) + f2
+        padded = all(b % a == 0 for a, b in zip(p1, p2))
+        assert factorwise_subgroup(AbelianGroup(tuple(f1)), AbelianGroup(tuple(f2))) == padded
 
 
 def test_subgroup_on_divisor_pairs():
@@ -318,8 +407,8 @@ def test_layer_expansion():
 def test_layer_expansion_detects_a_wrong_circulant(monkeypatch):
     real = critgroup._circulant_block
 
-    def off_by_one(i):
-        block = real(i)
+    def off_by_one(i, e, f):
+        block = real(i, e, f)
         if i == 3:
             block[1][2] += 1
         return block
@@ -401,6 +490,8 @@ def test_descale_requires_exact_divisions():
 def test_pipeline_reports():
     odd = verify_reduction_pipeline(5)
     assert odd.all_passed
+    assert isinstance(odd.stage_checks, tuple) and odd.failures() == []
+    assert PipelineReport(n=3).stage_checks == ()
     names = [name for name, _, _ in odd.stage_checks]
     assert names == [
         "fixture-unimodularity",

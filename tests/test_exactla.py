@@ -56,6 +56,13 @@ def test_matrix_construction_and_validation():
         IntegerMatrix([[1, 2], [3]])
 
 
+@pytest.mark.parametrize("rows", [[[2.5, 1], [1, 3.7]], [[2.0]]])
+def test_matrix_rejects_non_integer_entries(rows):
+    # a float would otherwise be truncated: snf([[2.5, 1], [1, 3.7]]) read (1, 5)
+    with pytest.raises(TypeError):
+        IntegerMatrix(rows)
+
+
 def test_matrix_algebra():
     a = IntegerMatrix([[1, 2], [3, 4]])
     b = IntegerMatrix([[0, 1], [1, 0]])

@@ -38,6 +38,20 @@ def test_multigraph_validation():
     assert g.multiplicity(0, 1) == 2
 
 
+@pytest.mark.parametrize(
+    "count, edges",
+    [
+        (3.0, {(0, 1): 1}),
+        (3, {(0, 1): 1.5, (1, 2): 1}),
+        (3, {(0.5, 1): 1, (1, 2): 1}),
+    ],
+)
+def test_multigraph_rejects_non_integers(count, edges):
+    # each fails here, not later as a truncated edge or a bad list index
+    with pytest.raises(TypeError):
+        Multigraph(count, edges)
+
+
 def test_cartesian_product_with_single_vertex():
     k1 = Multigraph(1)
     g = cycle(5)
