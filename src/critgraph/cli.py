@@ -118,7 +118,7 @@ def _require_laplacian_size(n: int) -> None:
     # 4n is not printed: its digits can pass the limit of str()
     if 4 * n > MAX_GRAPH_VERTICES:
         raise _UsageError(
-            f"n = {_clip(str(n))}: C4 x Cn has 4n vertices; the full-Laplacian route handles "
+            f"n = {_clip(n)}: C4 x Cn has 4n vertices; the full-Laplacian route handles "
             f"at most {MAX_GRAPH_VERTICES} vertices (n <= {MAX_GRAPH_VERTICES // 4})"
         )
 
@@ -183,7 +183,7 @@ def _cmd_treecount(args: argparse.Namespace) -> int:
 def _cmd_seq(args: argparse.Namespace) -> int:
     kind, upto, m = args.kind, args.upto, args.m
     if upto < 0:
-        raise _UsageError(f"--upto must be >= 0, got {_clip(str(upto))}")
+        raise _UsageError(f"--upto must be >= 0, got {_clip(upto)}")
     if kind in ("u", "v"):
         if m is None:
             raise _UsageError(f"sequence kind '{kind}' requires --m")
@@ -206,9 +206,9 @@ def _cmd_seq(args: argparse.Namespace) -> int:
 def _cmd_valuations(args: argparse.Namespace) -> int:
     upto = args.upto
     if upto < 2:
-        raise _UsageError(f"--upto must be >= 2, got {_clip(str(upto))}")
+        raise _UsageError(f"--upto must be >= 2, got {_clip(upto)}")
     if upto > MAX_VALUATIONS_UPTO:
-        raise _UsageError(f"--upto must be <= {MAX_VALUATIONS_UPTO}, got {_clip(str(upto))}")
+        raise _UsageError(f"--upto must be <= {MAX_VALUATIONS_UPTO}, got {_clip(upto)}")
     # (label, kind, prime, position of the kind's term in (e_n, f_n))
     families = [
         ("T2(e)", SeqKind.E, 2, 0),
@@ -329,7 +329,7 @@ def _verify_single(n: int, pipeline: bool) -> tuple[int, bool, str]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.parallelism < 0:
-        raise _UsageError(f"--parallelism must be >= 0, got {_clip(str(args.parallelism))}")
+        raise _UsageError(f"--parallelism must be >= 0, got {_clip(args.parallelism)}")
     lo, hi = _parse_range(args.range)
     _require_laplacian_size(hi)
     ns = list(range(lo, hi + 1))

@@ -563,7 +563,7 @@ def determinantal_divisor(a: IntegerMatrix, k: int) -> int:
             f"minor enumeration is capped at min dimension {_ORACLE_DIM_CAP}"
         )
     if not 1 <= k <= min(nr, nc):
-        raise ValueError(f"minor order {k} out of range for {nr}x{nc} matrix")
+        raise ValueError(f"minor order {_clip(k)} out of range for {nr}x{nc} matrix")
     g = 0
     for rows in itertools.combinations(range(nr), k):
         for cols in itertools.combinations(range(nc), k):
@@ -614,9 +614,17 @@ def canonical_chain(factors: Sequence[int]) -> tuple[int, ...]:
     return tuple(chain)
 
 
-def _clip(text: str, width: int = 80) -> str:
-    """``text`` cut to ``width`` characters, for echoing input in an error."""
-    return text if len(text) <= width else text[: width - 3] + "..."
+def _clip(value: str | int, width: int = 80) -> str:
+    """``value`` as message text cut to ``width`` characters, the one way an
+    error or a report names input or an integer.  An int is written in
+    decimal or, when ``str()`` refuses its digits under the interpreter's
+    limit, by its sign and bit length: ``-<16610-bit integer>``."""
+    if isinstance(value, int):
+        try:
+            value = str(value)
+        except ValueError:
+            value = f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
+    return value if len(value) <= width else value[: width - 3] + "..."
 
 
 def _read_int(token: str, where: str | Callable[[], str] | None = None) -> int:

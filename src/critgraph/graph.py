@@ -27,17 +27,19 @@ class Multigraph:
         # operator.index rejects floats and the like instead of truncating them
         vertex_count = operator.index(vertex_count)
         if vertex_count < 1:
-            raise ValueError(f"vertex count must be >= 1, got {vertex_count}")
+            raise ValueError(f"vertex count must be >= 1, got {_clip(vertex_count)}")
         self._n = vertex_count
         cleaned: dict[tuple[int, int], int] = {}
         for (u, v), mult in (edges or {}).items():
             u, v, mult = operator.index(u), operator.index(v), operator.index(mult)
             if u == v:
-                raise ValueError(f"self-loop at vertex {u} is not allowed")
+                raise ValueError(f"self-loop at vertex {_clip(u)} is not allowed")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValueError(f"edge ({u}, {v}) out of range for {vertex_count} vertices")
+                raise ValueError(f"edge ({_clip(u)}, {_clip(v)}) out of range for "
+                                 f"{_clip(vertex_count)} vertices")
             if mult < 1:
-                raise ValueError(f"edge ({u}, {v}) has non-positive multiplicity {mult}")
+                raise ValueError(f"edge ({_clip(u)}, {_clip(v)}) has non-positive multiplicity "
+                                 f"{_clip(mult)}")
             key = _edge_key(u, v)
             cleaned[key] = cleaned.get(key, 0) + mult
         self._edges = cleaned
@@ -78,7 +80,7 @@ class Multigraph:
 def cycle(n: int) -> Multigraph:
     """Simple cycle on n >= 3 vertices; vertex i is adjacent to i +- 1 mod n."""
     if n < 3:
-        raise ValueError(f"cycle needs at least 3 vertices, got {n}")
+        raise ValueError(f"cycle needs at least 3 vertices, got {_clip(n)}")
     edges = {(i, (i + 1) % n): 1 for i in range(n)}
     return Multigraph(n, edges)
 
@@ -105,7 +107,7 @@ def _require_c4xcn_n(n: int) -> None:
     """Reject n < 3, for which C4 x Cn is not defined; every function of
     the C4 x Cn family checks its n here."""
     if n < 3:
-        raise ValueError(f"C4 x Cn needs n >= 3, got {_clip(str(n))}")
+        raise ValueError(f"C4 x Cn needs n >= 3, got {_clip(n)}")
 
 
 def c4xcn(n: int) -> Multigraph:
@@ -166,7 +168,7 @@ def parse_edge_list(text: str) -> Multigraph:
                 raise ValueError(f"{where}: duplicate 'vertices' header")
             vertex_count = _read_int(parts[1], where)
             if vertex_count < 1:
-                raise ValueError(f"{where}: vertex count must be >= 1, got {_clip(str(vertex_count))}")
+                raise ValueError(f"{where}: vertex count must be >= 1, got {_clip(vertex_count)}")
             continue
         if len(parts) not in (2, 3):
             raise ValueError(f"{where}: expected 'u v [multiplicity]', got {_clip(body)!r}")
@@ -186,8 +188,5 @@ def parse_edge_list(text: str) -> Multigraph:
             raise ValueError("edge list is empty and has no 'vertices' header")
         vertex_count = max_id + 1
     elif max_id >= vertex_count:
-        # clipped: an id can have as many digits as the reader lets through
-        raise ValueError(
-            f"vertex id {_clip(str(max_id))} is out of range for 'vertices {_clip(str(vertex_count))}'"
-        )
+        raise ValueError(f"vertex id {_clip(max_id)} is out of range for 'vertices {_clip(vertex_count)}'")
     return Multigraph(vertex_count, edges)

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
 
+from .exactla import _clip
+
 
 class SeqKind(Enum):
     """Tags for the four derived sequences; the tag fixes the recurrence
@@ -63,17 +65,18 @@ class ValuationPrediction:
 
 def _check_m(m: int) -> None:
     if m < 1:
-        raise ValueError(f"recurrence parameter m must be >= 1, got {m}")
+        raise ValueError(f"recurrence parameter m must be >= 1, got {_clip(m)}")
 
 
 def _check_index(p: int) -> None:
     if p < 0:
-        raise ValueError(f"index must be >= 0, got {p}")
+        raise ValueError(f"index must be >= 0, got {_clip(p)}")
 
 
 def _check_kind(kind: SeqKind) -> None:
     if not isinstance(kind, SeqKind):
-        raise ValueError(f"unknown sequence kind: {kind!r}")
+        text = kind if isinstance(kind, int) else repr(kind)
+        raise ValueError(f"unknown sequence kind: {_clip(text)}")
 
 
 def _u_pair(m: int, p: int) -> tuple[int, int]:
@@ -203,10 +206,9 @@ def v_partial_sum(m: int, p: int, q: int) -> int:
     1 is subtracted.
     """
     _check_m(m)
-    if p < 0:
-        raise ValueError(f"index must be >= 0, got {p}")
+    _check_index(p)
     if q < 1:
-        raise ValueError(f"factor q must be >= 1, got {q}")
+        raise ValueError(f"factor q must be >= 1, got {_clip(q)}")
     vs = v_prefix(m, p * (q - 1) + 1)
     if q % 2 == 0:
         return sum(vs[p * (q + 1 - 2 * i)] for i in range(1, q // 2 + 1))
@@ -220,7 +222,7 @@ def observed_valuation(x: int, prime: int) -> int:
     if x == 0:
         raise ValueError("valuation of 0 is undefined")
     if prime < 2:
-        raise ValueError(f"prime must be >= 2, got {prime}")
+        raise ValueError(f"prime must be >= 2, got {_clip(prime)}")
     x = abs(x)
     k = 0
     while x % prime == 0:
@@ -241,9 +243,9 @@ def predicted_valuation(kind: SeqKind, prime: int, n: int) -> ValuationPredictio
     if kind not in (SeqKind.E, SeqKind.F):
         raise ValueError("valuation predictions cover kinds E and F only")
     if prime not in (2, 3):
-        raise ValueError(f"valuation predictions cover primes 2 and 3, got {prime}")
+        raise ValueError(f"valuation predictions cover primes 2 and 3, got {_clip(prime)}")
     if n < 1:
-        raise ValueError(f"index must be >= 1, got {n}")
+        raise ValueError(f"index must be >= 1, got {_clip(n)}")
     exponent = _valuation_rule(kind, prime, observed_valuation(n, 2), observed_valuation(n, 3))
     return ValuationPrediction(prime=prime, kind=kind, n=n, predicted_exponent=exponent)
 

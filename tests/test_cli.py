@@ -468,8 +468,10 @@ def test_bad_integer_argument_is_named_and_clipped(capsys, json_flag, argv, mess
         (["seq", "{big}", "--upto", "3"], "critgraph seq: error: argument kind: invalid choice: '{clipped}'"),
         (["snf", "--matrix", "/nonexistent/{big}"], "critgraph: error: cannot read {clipped_path}: "),
         (["graph-group", "--edges", "/nonexistent/{big}"], "critgraph: error: cannot read {clipped_path}: "),
+        (["seq", "u", "--m", "-" + "7" * 100, "--upto", "3"],
+         "critgraph: error: recurrence parameter m must be >= 1, got -" + "7" * 76 + "..."),
     ],
-    ids=["tolerance", "method", "check", "seq-kind", "matrix-path", "edges-path"],
+    ids=["tolerance", "method", "check", "seq-kind", "matrix-path", "edges-path", "seq-m"],
 )
 def test_bad_token_is_echoed_clipped(capsys, json_flag, argv, prefix):
     big = "x" * 5000

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -28,10 +29,11 @@ from critgraph.critgroup import (
     verify_layer_expansion,
     verify_reduction_pipeline,
 )
-from critgraph import critgroup, graph, treecount
+from critgraph import critgroup, exactla, graph, treecount
 from critgraph.exactla import (
     IntegerMatrix,
     SparseMatrix,
+    _clip,
     canonical_chain,
     det_bareiss,
     is_unimodular,
@@ -52,14 +54,17 @@ def test_group_validation():
         AbelianGroup((4, 2))
     with pytest.raises(ValueError):
         AbelianGroup((1, 2))
-
-
-def test_group_from_factors_canonicalizes():
-    assert AbelianGroup.from_factors([4, 6]).invariant_factors == (2, 12)
-    assert AbelianGroup.from_factors([1, 1, 3]).invariant_factors == (3,)
-    assert AbelianGroup.from_factors([1]) == AbelianGroup(())
     assert str(AbelianGroup((2, 6))) == "Z2 x Z6"
     assert str(AbelianGroup(())) == "trivial"
+
+
+def test_group_converts_its_factors():
+    # a list is stored as the tuple, so the frozen group hashes
+    listed = AbelianGroup([2, 4])
+    assert listed == AbelianGroup((2, 4)) and listed.invariant_factors == (2, 4)
+    assert hash(listed) == hash(AbelianGroup((2, 4)))
+    with pytest.raises(TypeError):
+        AbelianGroup((2.0, 4.0))
 
 
 def test_group_validation_names_positions_not_values():
@@ -350,8 +355,7 @@ def test_closed_form_group_takes_the_chain_as_it_is(monkeypatch):
         n: tuple(f for f in canonical_chain(closed_form_raw_factors(n)) if f > 1)
         for n in range(3, 100)
     }
-    monkeypatch.setattr(critgroup, "canonical_chain", _refuse)
-    monkeypatch.setattr(AbelianGroup, "from_factors", classmethod(_refuse))
+    monkeypatch.setattr(exactla, "canonical_chain", _refuse)
     for n, factors in expected.items():
         assert closed_form_group(n).invariant_factors == factors, n
 
@@ -599,10 +603,20 @@ def test_pipeline_records_an_inexact_descale(monkeypatch):
     def inexact(stage):
         raise ArithmeticError("inexact division 3 / 2")
 
-    monkeypatch.setattr(critgroup, "_descale_even_stage", inexact)
-    report = verify_reduction_pipeline(6)
-    assert ("even-descale-exact", False, "inexact division 3 / 2") in report.stage_checks
-    assert [name for name, _, _ in report.failures()] == ["even-descale-exact"]
+    # an operand str() refuses is named by its bit length, and still recorded
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    big = 10 ** (limit + 1)
+
+    def inexact_big(stage):
+        return critgroup._exact_div(big + 1, 2)
+
+    for descale, detail in ((inexact, "inexact division 3 / 2"),
+                            (inexact_big, f"inexact division {_clip(big + 1)} / 2")):
+        monkeypatch.setattr(critgroup, "_descale_even_stage", descale)
+        report = verify_reduction_pipeline(6)
+        assert ("even-descale-exact", False, detail) in report.stage_checks
+        assert [name for name, _, _ in report.failures()] == ["even-descale-exact"]
+        assert len(detail) <= 200
 
 
 def test_pipeline_rank_one_split_names_the_first_nonzero_line_sum(monkeypatch):
