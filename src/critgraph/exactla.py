@@ -213,18 +213,15 @@ class SnfResult:
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with x*a + y*b = g = gcd(a, b) > 0 (a, b not both zero)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_x, x = x, old_x - quot * x
-        old_y, y = y, old_y - quot * y
-    if old_r < 0:
-        return -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
+    """(g, x, y) with x*a + y*b = g = gcd(a, b) > 0, for b nonzero.  x is
+    the inverse of a/g modulo m = |b/g| of least |x| (x = 0 when m = 1);
+    the one tie, x = +-1 at m = 2, takes the sign of b."""
+    g = math.gcd(a, b)
+    m = abs(b // g)
+    x = pow(a // g, -1, m)
+    if 2 * x > m or (2 * x == m and b < 0):
+        x -= m
+    return g, x, (g - x * a) // b
 
 
 def _min_abs_pivot(
@@ -614,12 +611,12 @@ def canonical_chain(factors: Sequence[int]) -> tuple[int, ...]:
     return tuple(chain)
 
 
-def _clip(value: str | int, width: int = 80) -> str:
+def _clip(value: str | int | float, width: int = 80) -> str:
     """``value`` as message text cut to ``width`` characters, the one way an
-    error or a report names input or an integer.  An int is written in
-    decimal or, when ``str()`` refuses its digits under the interpreter's
-    limit, by its sign and bit length: ``-<16610-bit integer>``."""
-    if isinstance(value, int):
+    error or a report names input or a number.  A number is written by
+    ``str()``, or, for an int whose digits ``str()`` refuses under the
+    interpreter's limit, by its sign and bit length: ``-<16610-bit integer>``."""
+    if isinstance(value, (int, float)):
         try:
             value = str(value)
         except ValueError:

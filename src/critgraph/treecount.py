@@ -10,16 +10,18 @@
                   elimination and Bareiss on the core that is left;
   * eigenvalues:  the count equals 4n times the product over j of
                   (4 - 2cos(2 pi j / n))^2 (6 - 2cos(2 pi j / n)),
-                  checked in log space against the exact integer.
+                  checked in log space against the exact integer, whose
+                  log ``math.log`` takes at any size.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .exactla import det
+from .exactla import _clip, det
 from .graph import Multigraph, _require_c4xcn_n, sparse_laplacian
 from .seq import parity_split
 
@@ -55,18 +57,9 @@ def tree_count_matrix(g: Multigraph) -> int:
 
 
 def _require_tolerance(rel_tolerance: float) -> None:
-    if rel_tolerance <= 0 or not math.isfinite(rel_tolerance):
-        raise ValueError(f"relative tolerance must be positive and finite, got {rel_tolerance}")
-
-
-def _log_big(x: int) -> float:
-    """Natural log of a large positive integer: keep the top bits as a
-    mantissa (at least 64 significant bits) and add the shifted-out
-    exponent, so precision does not depend on the integer's size."""
-    if x <= 0:
-        raise ValueError("logarithm of a non-positive integer")
-    shift = max(0, x.bit_length() - 128)
-    return math.log(x >> shift) + shift * math.log(2)
+    # compared, not converted: float() of an int past the float range raises
+    if not 0 < rel_tolerance <= sys.float_info.max:
+        raise ValueError(f"relative tolerance must be positive and finite, got {_clip(rel_tolerance)}")
 
 
 def trig_product_check(
@@ -88,7 +81,7 @@ def trig_product_check(
     for j in range(1, n):
         c = 2.0 * math.cos(2.0 * math.pi * j / n)
         total += 2.0 * math.log(4.0 - c) + math.log(6.0 - c)
-    target = _log_big(count) - math.log(4 * n)
+    target = math.log(count) - math.log(4 * n)
     residual = (total - target) / target
     return TreeCountReport(
         n=n,

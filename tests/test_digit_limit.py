@@ -5,6 +5,7 @@ the interpreter's digit limit, so these tests hold at any setting of it
 (``python -X int_max_str_digits=640`` is the smallest)."""
 
 import argparse
+import math
 import sys
 
 import pytest
@@ -16,6 +17,7 @@ from critgraph.graph import Multigraph, c4xcn, cycle
 from critgraph.seq import (
     SeqKind, derived_seq, observed_valuation, predicted_valuation, u_seq, v_partial_sum,
 )
+from critgraph.treecount import trig_product_check
 
 LIMIT = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
 BIG = 10 ** (LIMIT + 1)
@@ -45,6 +47,7 @@ SITES = {
     "predicted-valuation-index": (ValueError, lambda x: predicted_valuation(SeqKind.E, 2, -abs(x))),
     "determinantal-divisor": (ValueError, lambda x: determinantal_divisor(IntegerMatrix([[1]]), x)),
     "exact-div": (ArithmeticError, lambda x: critgroup._exact_div(x + 1, 2)),
+    "trig-tolerance": (ValueError, lambda x: trig_product_check(5, x)),
     "cli-laplacian-size": (cli._UsageError, lambda x: cli._require_laplacian_size(abs(x))),
     "cli-seq-upto": (cli._UsageError, lambda x: cli._cmd_seq(_namespace(kind="e", upto=-abs(x), m=None))),
     "cli-valuations-low": (cli._UsageError, lambda x: cli._cmd_valuations(_namespace(upto=-abs(x)))),
@@ -73,6 +76,7 @@ def test_message_naming_an_integer_is_bounded(site, sign):
 def test_clip_names_an_integer_str_refuses_by_its_bit_length():
     assert _clip(12345) == "12345"
     assert _clip(-(10**100)) == "-1" + "0" * 75 + "..."
+    assert [_clip(x) for x in (1e-09, -0.0, math.nan, -math.inf)] == ["1e-09", "-0.0", "nan", "-inf"]
     if LIMIT:
         assert _clip(BIG) == f"<{BIG.bit_length()}-bit integer>"
         assert _clip(-BIG) == f"-<{BIG.bit_length()}-bit integer>"

@@ -9,6 +9,7 @@ from critgraph.exactla import (
     IntegerMatrix,
     SparseMatrix,
     _eliminate_units,
+    _ext_gcd,
     _read_int,
     canonical_chain,
     det,
@@ -476,6 +477,93 @@ def test_peak_bit_length_reported():
     for n, peak in ((6, 84), (20, 793), (64, 3475)):
         assert snf(laplacian(c4xcn(n))).peak_bit_length == peak, n
     assert snf(laplacian(c4xcn(6)), want_transforms=True).peak_bit_length == 141
+
+
+def _bezout_pairs():
+    """(a, b) with b nonzero: every a, b in +-1..150 with b % a != 0, and
+    seeded pairs of up to 4000 bits with mixed signs, half of them with a
+    common factor of up to 2000 bits."""
+    small = [s * k for k in range(1, 151) for s in (1, -1)]
+    pairs = [(a, b) for a in small for b in small if b % a]
+    rng = random.Random(4000)
+
+    def signed(bits):
+        return rng.choice((1, -1)) * rng.randrange(1, 1 << rng.randint(1, bits))
+
+    for _ in range(3000):
+        common = abs(signed(2000)) if rng.random() < 0.5 else 1
+        pairs.append((common * signed(2000), common * signed(2000)))
+    return pairs
+
+
+def test_ext_gcd_returns_the_least_bezout_pair():
+    # the three checks pin the pair: g divides a and b and is a positive
+    # combination of them, so it is their gcd; x is then fixed modulo
+    # |b/g|, and its least |x| is unique apart from the tie at |b/g| = 2
+    for a, b in _bezout_pairs():
+        g, x, y = _ext_gcd(a, b)
+        assert g > 0 and a % g == 0 and b % g == 0 and x * a + y * b == g, (a, b)
+        m = abs(b // g)
+        assert 2 * abs(x) <= m, (a, b)
+        if 2 * abs(x) == m:
+            assert (x > 0) == (b > 0), (a, b)
+
+
+# pinned: a different Bezout pair in _clear_column changes these
+# transforms even where the diagonal and the pinned peaks stay the same
+PINNED_TRANSFORMS = [
+    (
+        IntegerMatrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]),
+        [
+            [1, 0, 0],
+            [-32, 1, 7],
+            [-1221, 38, 267],
+        ],
+        [
+            [1, -44, 90],
+            [0, -1, 2],
+            [0, 23, -47],
+        ],
+    ),
+    (
+        relations_matrix(5),
+        [
+            [0, -151, -3, 0, -1812, 0, 0, 0],
+            [0, 3521, 1384, 0, 20186, 0, 0, 0],
+            [0, 582443891864, 681824552856, 582443891865, 2917978715959, 4, 0, 0],
+            [-131053179049265801, -52935185978477519, -35889322968834524, -52935185978477564,
+             356253491364131902, -167, 0, 0],
+            [413321564693837826, 166938411070782867, 113176500990939326, 166938411070782990,
+             -1123623920668732100, 451, 0, 0],
+            [1890946158474308055172, 763743230648831617019, 517782492033547416786, 763743230648832179744,
+             -5140579437059449360821, 2063325, -4, 0],
+            [-7543118555662540329391, -3046626002041787324726, -2065471143084642700841, -3046626002041789569476,
+             20506136552204360838295, -8230750, 5, 0],
+            [-1, -1, -1, -1, 1, 1, 1, 1],
+        ],
+        [
+            [0, 0, 0, 0, 25, -82, -410, 1],
+            [0, 0, 0, 0, -18779203782245018, -76802728685541, -1228843658968105, 1],
+            [0, 0, 0, 0, 0, 0, 0, 1],
+            [0, 0, -6, -19, 18779203782255626, 76802728685402, 1228843658967885, 1],
+            [0, 0, 0, 0, 0, -73, -366, 1],
+            [0, 1, 5722984264427074654, 18122783504019192386,
+             5676253171651236475, -286264889231887, -4580238227709541, 1],
+            [1, 30635, 175323139260712368360594, 555189940992259590463207,
+             176035833651224559608150, -5306650965341, -84906415448016, 1],
+            [0, 0, -7776956154383, -24627027822213,
+             69987405527771320, 286264716009641, 4580235456158269, 1],
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("a, left, right", PINNED_TRANSFORMS, ids=["demo-03", "relations-5"])
+def test_snf_transforms_are_pinned(a, left, right):
+    res = snf(a, want_transforms=True)
+    assert res.left_transform.to_lists() == left
+    assert res.right_transform.to_lists() == right
+    assert res.left_transform @ a @ res.right_transform == _rect_diag(res.diagonal, a.row_count, a.col_count)
 
 
 def test_matrix_text_round_trip():

@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 
@@ -71,9 +72,34 @@ def test_trig_product_small_cases():
         trig_product_check(5, 0.0)
     with pytest.raises(ValueError):
         trig_product_check(5, -1e-9)
-    for bad in (math.nan, math.inf, -math.inf):
+    # 2**1024 is the least int that float() refuses
+    for bad in (math.nan, math.inf, -math.inf, 2**1024, -(2**1024)):
         with pytest.raises(ValueError, match="positive and finite"):
             trig_product_check(5, bad)
+    assert trig_product_check(5, 2**1023).trig_passed
+
+
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_trig_product_passes_past_the_float_range(n):
+    # counts of 6352 and 12696 bits: float(count) would overflow
+    count = tree_count_closed(n)
+    assert count.bit_length() > 1024
+    report = trig_product_check(n, 1e-12, count=count)
+    assert report.trig_passed, report.trig_log_residual
+
+
+def test_log_of_the_count_is_float_precise_at_any_size():
+    # the check's target ln(count) - ln(4n), from math.log of the exact
+    # count, against a 60-digit decimal logarithm.  Observed worst 2.43e-16
+    # relative (n = 294); math.log of a count past 2^1024 adds the rounded
+    # e * ln 2 to log of its mantissa, so the bound is two units of 2^-52
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for n in range(3, 401):
+            count = tree_count_closed(n)
+            target = math.log(count) - math.log(4 * n)
+            exact = decimal.Decimal(count).ln() - decimal.Decimal(4 * n).ln()
+            assert abs(decimal.Decimal(target) - exact) <= abs(exact) * decimal.Decimal(2) ** -51, n
 
 
 def test_trig_product_direct_value():
