@@ -39,7 +39,7 @@ for n in range(2, 20):
     row = [n]
     for kind in (SeqKind.E, SeqKind.F):
         for prime in (2, 3):
-            predicted = predicted_valuation(kind, prime, n).predicted_exponent
+            predicted = predicted_valuation(kind, prime, n)
             observed = observed_valuation(derived_seq(kind, n), prime)
             assert predicted == observed
             row.append(predicted)

@@ -21,8 +21,7 @@ from critgraph import (
 
 print("Layer-expansion coefficients (a_i, b_i, c_i):")
 for i in range(7):
-    c = coeffs(i)
-    print(f"  i={i}: ({c.a}, {c.b}, {c.c})")
+    print(f"  i={i}: {coeffs(i)}")
 print("symbolic propagation check for n=9:", verify_layer_expansion(9))
 
 print("\nThe 8x8 relations matrix for n=5:")

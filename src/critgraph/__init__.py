@@ -31,7 +31,6 @@ from .graph import (
 )
 from .seq import (
     SeqKind,
-    ValuationPrediction,
     derived_prefix,
     derived_seq,
     observed_valuation,
@@ -46,7 +45,6 @@ from .seq import (
 from .critgroup import (
     AbelianGroup,
     PipelineReport,
-    ReductionCoeffs,
     closed_form_group,
     closed_form_raw_factors,
     coeffs,
@@ -71,12 +69,10 @@ __all__ = [
     "IntegerMatrix",
     "Multigraph",
     "PipelineReport",
-    "ReductionCoeffs",
     "SeqKind",
     "SnfResult",
     "SparseMatrix",
     "TreeCountReport",
-    "ValuationPrediction",
     "c4xcn",
     "canonical_chain",
     "cartesian_product",

@@ -287,6 +287,8 @@ def _read_file(path: str) -> str:
     except OSError as exc:
         # str(exc) repeats the path; the cause alone is named
         raise _UsageError(f"cannot read {_clip(path)}: {exc.strerror or type(exc).__name__}") from exc
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"cannot read {_clip(path)}: not UTF-8 text") from exc
 
 
 def _cmd_snf(args: argparse.Namespace) -> int:

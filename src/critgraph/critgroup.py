@@ -74,17 +74,6 @@ def format_group(factors: Sequence[object]) -> str:
 
 
 @dataclass(frozen=True)
-class ReductionCoeffs:
-    """Integer coefficients (a, b, c) expressing ring layer i of
-    C4 x Cn over the first two layers; see :func:`coeffs`."""
-
-    i: int
-    a: int
-    b: int
-    c: int
-
-
-@dataclass(frozen=True)
 class PipelineReport:
     """Outcome of :func:`verify_reduction_pipeline`: one (name, passed,
     detail) triple per stage."""
@@ -119,15 +108,16 @@ def _circulant_block(i: int, e: int, f: int) -> list[list[int]]:
     return [[a, b, c, b], [b, a, b, c], [c, b, a, b], [b, c, b, a]]
 
 
-def coeffs(i: int) -> ReductionCoeffs:
-    """Layer-expansion coefficients at index i >= 0: the first row of
-    :func:`_circulant_block`.
+def coeffs(i: int) -> tuple[int, int, int]:
+    """Layer-expansion coefficients (a, b, c) at index i >= 0, which carry
+    ring layer i of C4 x Cn onto the first two layers: the first three
+    entries of the first row of :func:`_circulant_block`.
 
     They satisfy a + 2b + c = i and the coupled recurrences
     a' = 4a - 2b - a_prev, b' = 4b - (a + c) - b_prev, c' = 4c - 2b - c_prev.
     """
     a, b, c, _ = _circulant_block(i, u_seq(2, i), u_seq(4, i))[0]
-    return ReductionCoeffs(i=i, a=a, b=b, c=c)
+    return a, b, c
 
 
 def _terms_around(n: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
@@ -143,9 +133,9 @@ def relations_matrix(n: int) -> IntegerMatrix:
     critical group of C4 x Cn.
 
     Blocks: [[A_{n+1} - I, -A_n], [A_n, -A_{n-1} - I]] with A_i the
-    circulant of coeffs(i).  After negating the last four rows every
-    row and column sums to zero, which is what lets the first row and
-    column be split off as a rank-one zero block.
+    circulant (a, b, c, b) of (a, b, c) = coeffs(i).  After negating the
+    last four rows every row and column sums to zero, which is what lets
+    the first row and column be split off as a rank-one zero block.
     """
     _require_c4xcn_n(n)
     bot, mid, top = map(_circulant_block, (n - 1, n, n + 1), *_terms_around(n))
@@ -253,8 +243,9 @@ def factorwise_subgroup(g1: AbelianGroup, g2: AbelianGroup) -> bool:
 def verify_layer_expansion(n: int) -> bool:
     """Propagate the cokernel relation symbolically over the eight
     generators (ring positions of layers 0 and 1) and confirm that
-    layer i carries exactly the circulant of coeffs(i) on layer 1 and
-    minus the circulant of coeffs(i-1) on layer 0, for every 1 <= i <= n."""
+    layer i carries exactly the circulant (a, b, c, b) of
+    (a, b, c) = coeffs(i) on layer 1 and minus that of coeffs(i-1) on
+    layer 0, for every 1 <= i <= n."""
     _require_c4xcn_n(n)
     es, fs = u_prefix(2, n + 1), u_prefix(4, n + 1)
     unit = [[int(j == k) for k in range(8)] for j in range(8)]

@@ -25,8 +25,8 @@ even-cycle Smith-normal-form case analysis effective.
 
 from __future__ import annotations
 
+import operator
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
 
@@ -52,19 +52,9 @@ class SeqKind(Enum):
         return self in (SeqKind.H, SeqKind.G)
 
 
-@dataclass(frozen=True)
-class ValuationPrediction:
-    """Predicted exponent of ``prime`` in e_n or f_n, computed from the
-    prime factorization of the index n alone."""
-
-    prime: int
-    kind: SeqKind
-    n: int
-    predicted_exponent: int
-
-
 def _check_m(m: int) -> None:
-    if m < 1:
+    # as in AbelianGroup: a float raises TypeError rather than walk as one
+    if operator.index(m) < 1:
         raise ValueError(f"recurrence parameter m must be >= 1, got {_clip(m)}")
 
 
@@ -219,6 +209,7 @@ def v_partial_sum(m: int, p: int, q: int) -> int:
 def observed_valuation(x: int, prime: int) -> int:
     """Largest k with prime**k dividing |x|.  x = 0 is rejected (the
     valuation would be infinite)."""
+    x, prime = operator.index(x), operator.index(prime)
     if x == 0:
         raise ValueError("valuation of 0 is undefined")
     if prime < 2:
@@ -231,8 +222,8 @@ def observed_valuation(x: int, prime: int) -> int:
     return k
 
 
-def predicted_valuation(kind: SeqKind, prime: int, n: int) -> ValuationPrediction:
-    """Exact p-adic valuation of e_n (kind E) or f_n (kind F) for
+def predicted_valuation(kind: SeqKind, prime: int, n: int) -> int:
+    """The exponent of ``prime`` in e_n (kind E) or f_n (kind F) for
     p in {2, 3}, read off the exponents t2, t3 of 2 and 3 in n.
 
         v2(e_n) = 0 if t2 = 0 else t2 + 1
@@ -242,12 +233,12 @@ def predicted_valuation(kind: SeqKind, prime: int, n: int) -> ValuationPredictio
     """
     if kind not in (SeqKind.E, SeqKind.F):
         raise ValueError("valuation predictions cover kinds E and F only")
+    prime, n = operator.index(prime), operator.index(n)
     if prime not in (2, 3):
         raise ValueError(f"valuation predictions cover primes 2 and 3, got {_clip(prime)}")
     if n < 1:
         raise ValueError(f"index must be >= 1, got {_clip(n)}")
-    exponent = _valuation_rule(kind, prime, observed_valuation(n, 2), observed_valuation(n, 3))
-    return ValuationPrediction(prime=prime, kind=kind, n=n, predicted_exponent=exponent)
+    return _valuation_rule(kind, prime, observed_valuation(n, 2), observed_valuation(n, 3))
 
 
 def _valuation_rule(kind: SeqKind, prime: int, t2: int, t3: int) -> int:

@@ -118,7 +118,7 @@ def test_criterion_6_valuations():
         for n in range(2, 1001):
             for kind, value in ((SeqKind.E, es[n]), (SeqKind.F, fs[n])):
                 for prime in (2, 3):
-                    predicted = predicted_valuation(kind, prime, n).predicted_exponent
+                    predicted = predicted_valuation(kind, prime, n)
                     assert observed_valuation(value, prime) == predicted, (kind, prime, n)
                     checked += 1
         assert checked == 3996

@@ -12,6 +12,7 @@ import critgraph
 from critgraph import cli, critgroup, treecount
 from critgraph.cli import MAX_GRAPH_VERTICES, MAX_VALUATIONS_UPTO, run
 from critgraph.critgroup import closed_form_group
+from critgraph.exactla import _clip
 from critgraph.seq import (
     SeqKind, derived_prefix, observed_valuation, predicted_valuation, u_prefix, v_prefix,
 )
@@ -169,7 +170,7 @@ def _valuation_details(capsys, upto):
 def test_valuations_reports_the_failing_family_only(capsys, monkeypatch, label, kind, prime):
     # one more factor of ``prime`` in the term at n = 18 breaks exactly one family
     _scale_terms(monkeypatch, [(kind, 18, prime)])
-    predicted = predicted_valuation(kind, prime, 18).predicted_exponent
+    predicted = predicted_valuation(kind, prime, 18)
     bad = f"first mismatch at n=18: predicted {predicted}, observed {predicted + 1}"
     (rc_text, lines), (rc_json, checks) = _valuation_details(capsys, 40)
     assert rc_text == rc_json == 1
@@ -197,7 +198,7 @@ def test_valuations_first_mismatch_per_family(capsys, monkeypatch):
     assert rc_text == rc_json == 1
     for label, kind, prime in _FAMILIES:
         n = first[label]
-        p = predicted_valuation(kind, prime, n).predicted_exponent
+        p = predicted_valuation(kind, prime, n)
         detail = f"first mismatch at n={n}: predicted {p}, observed {p + 1}"
         assert lines[label] == f"{label}: FAIL ({detail})"
         assert {"name": label, "pass": False, "detail": detail} in checks
@@ -251,7 +252,7 @@ def test_valuations_at_the_tightest_modulus(capsys, upto):
     exact = {
         label: all(
             observed_valuation(terms[kind][n], prime)
-            == predicted_valuation(kind, prime, n).predicted_exponent
+            == predicted_valuation(kind, prime, n)
             for n in range(2, upto + 1)
         )
         for label, kind, prime in _FAMILIES
@@ -315,6 +316,17 @@ def test_snf_file(tmp_path, capsys):
 def test_snf_missing_file(capsys):
     assert run(["snf", "--matrix", "/nonexistent/m.txt"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("command, option", [("snf", "--matrix"), ("graph-group", "--edges")])
+def test_input_file_that_is_not_utf8_is_named(tmp_path, capsys, json_flag, command, option):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\n")
+    assert run([command, option, str(path), *json_flag]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"critgraph: error: cannot read {_clip(str(path))}: not UTF-8 text\n"
 
 
 def test_graph_group_file(tmp_path, capsys):

@@ -81,10 +81,10 @@ def test_group_validation_names_positions_not_values():
 # -- coefficients ----------------------------------------------------------
 
 def test_coeffs_examples():
-    assert (coeffs(0).a, coeffs(0).b, coeffs(0).c) == (0, 0, 0)
-    assert (coeffs(1).a, coeffs(1).b, coeffs(1).c) == (1, 0, 0)
-    assert (coeffs(2).a, coeffs(2).b, coeffs(2).c) == (4, -1, 0)
-    assert (coeffs(4).a, coeffs(4).b, coeffs(4).c) == (80, -50, 24)
+    assert coeffs(0) == (0, 0, 0)
+    assert coeffs(1) == (1, 0, 0)
+    assert coeffs(2) == (4, -1, 0)
+    assert coeffs(4) == (80, -50, 24)
     with pytest.raises(ValueError):
         coeffs(-1)
 
@@ -112,20 +112,19 @@ def test_coeffs_recurrence_agreement():
         prev, cur = cur, recur
         e_prev, e_cur = e_cur, 4 * e_cur - e_prev
         f_prev, f_cur = f_cur, 6 * f_cur - f_prev
-    spot = coeffs(2000)
-    assert (spot.a, spot.b, spot.c) == cur
+    assert coeffs(2000) == cur
 
 
 # -- relations matrix ------------------------------------------------------
 
 def test_relations_matrix_structure():
     m = relations_matrix(3)
-    c4 = coeffs(4)
+    a, b, c = coeffs(4)
     # top-left block is the circulant of coeffs(4) minus the identity
-    assert m[0, 0] == c4.a - 1
-    assert m[0, 1] == c4.b and m[0, 3] == c4.b
-    assert m[0, 2] == c4.c
-    assert m[1, 2] == c4.b and m[1, 3] == c4.c
+    assert m[0, 0] == a - 1
+    assert m[0, 1] == b and m[0, 3] == b
+    assert m[0, 2] == c
+    assert m[1, 2] == b and m[1, 3] == c
     with pytest.raises(ValueError):
         relations_matrix(2)
 
@@ -143,8 +142,9 @@ def test_relations_matrix_recorded_value():
     ]
 
 
-def _circulant(c):
-    return [[c.a, c.b, c.c, c.b], [c.b, c.a, c.b, c.c], [c.c, c.b, c.a, c.b], [c.b, c.c, c.b, c.a]]
+def _circulant(abc):
+    a, b, c = abc
+    return [[a, b, c, b], [b, a, b, c], [c, b, a, b], [b, c, b, a]]
 
 
 def test_relations_matrix_blocks_are_the_coeffs_circulants():

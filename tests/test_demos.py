@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import critgraph
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
@@ -20,3 +22,10 @@ def test_demo_runs_clean(demo):
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     assert "[FAIL]" not in done.stdout
+
+
+def test_export_list_names_each_package_binding_once():
+    # the demos import from the package by the names in __all__
+    exported = critgraph.__all__
+    assert len(set(exported)) == len(exported)
+    assert [name for name in exported if not hasattr(critgraph, name)] == []

@@ -38,6 +38,11 @@ def test_rejects_degenerate_parameter():
         v_seq(0, 3)
     with pytest.raises(ValueError):
         u_seq(2, -1)
+    # a float m would walk the recurrence in floats
+    with pytest.raises(TypeError):
+        u_seq(2.0, 3)
+    with pytest.raises(TypeError):
+        u_prefix(2.0, 3)
 
 
 def test_derived_sequences():
@@ -116,17 +121,21 @@ def test_observed_valuation():
         observed_valuation(0, 2)
     with pytest.raises(ValueError):
         observed_valuation(8, 1)
+    with pytest.raises(TypeError):
+        observed_valuation(12.0, 2)
+    with pytest.raises(TypeError):
+        observed_valuation(12, 2.0)
 
 
 def test_predicted_valuation_cases():
     for n in (3, 5, 7, 9, 999):
-        assert predicted_valuation(SeqKind.E, 2, n).predicted_exponent == 0
+        assert predicted_valuation(SeqKind.E, 2, n) == 0
     # e_4 = 56 = 2^3 * 7
-    assert predicted_valuation(SeqKind.E, 2, 4).predicted_exponent == 3
+    assert predicted_valuation(SeqKind.E, 2, 4) == 3
     # f_6 = 6930 = 2 * 3^2 * 5 * 7 * 11
-    assert predicted_valuation(SeqKind.F, 3, 6).predicted_exponent == 2
-    assert predicted_valuation(SeqKind.F, 2, 6).predicted_exponent == 1
-    assert predicted_valuation(SeqKind.E, 3, 9).predicted_exponent == 2
+    assert predicted_valuation(SeqKind.F, 3, 6) == 2
+    assert predicted_valuation(SeqKind.F, 2, 6) == 1
+    assert predicted_valuation(SeqKind.E, 3, 9) == 2
 
 
 def test_predicted_valuation_rejections():
@@ -136,6 +145,10 @@ def test_predicted_valuation_rejections():
         predicted_valuation(SeqKind.E, 5, 4)
     with pytest.raises(ValueError):
         predicted_valuation(SeqKind.E, 2, 0)
+    with pytest.raises(TypeError):
+        predicted_valuation(SeqKind.E, 2.0, 4)
+    with pytest.raises(TypeError):
+        predicted_valuation(SeqKind.E, 2, 4.0)
 
 
 def test_predicted_matches_observed_small_sweep():
@@ -145,7 +158,7 @@ def test_predicted_matches_observed_small_sweep():
             for prime in (2, 3):
                 assert (
                     observed_valuation(x, prime)
-                    == predicted_valuation(kind, prime, n).predicted_exponent
+                    == predicted_valuation(kind, prime, n)
                 ), (kind, prime, n)
 
 
@@ -153,7 +166,7 @@ def test_predictions_hold_at_index_one():
     # e_1 = f_1 = 1: every valuation is 0, matching the formulas at n=1.
     for kind in (SeqKind.E, SeqKind.F):
         for prime in (2, 3):
-            assert predicted_valuation(kind, prime, 1).predicted_exponent == 0
+            assert predicted_valuation(kind, prime, 1) == 0
 
 
 def _linear(m, first, second, count):

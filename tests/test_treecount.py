@@ -119,8 +119,8 @@ def test_even_count_two_adic_valuation():
         expected = (
             8
             + observed_valuation(s, 2)
-            + 4 * predicted_valuation(SeqKind.E, 2, s).predicted_exponent
-            + 2 * predicted_valuation(SeqKind.F, 2, s).predicted_exponent
+            + 4 * predicted_valuation(SeqKind.E, 2, s)
+            + 2 * predicted_valuation(SeqKind.F, 2, s)
         )
         assert observed_valuation(tree_count_closed(n), 2) == expected, n
 
