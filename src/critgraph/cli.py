@@ -282,7 +282,7 @@ def _cmd_subgroup(args: argparse.Namespace) -> int:
 
 def _read_file(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read()
     except OSError as exc:
         # str(exc) repeats the path; the cause alone is named
@@ -336,8 +336,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _require_laplacian_size(hi)
     ns = list(range(lo, hi + 1))
     # a pool may start all its workers at once, so there are never more
-    # than the CPUs or the values of n
-    cpus = os.cpu_count() or 1
+    # than the CPUs this process may run on or the values of n
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(args.parallelism or cpus, cpus, len(ns))
     start = time.monotonic()
     if workers == 1:

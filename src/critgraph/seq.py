@@ -193,17 +193,16 @@ def v_partial_sum(m: int, p: int, q: int) -> int:
 
     For even q this is the sum of v_{p(q+1-2i)}(m) over 0 < 2i <= q; for
     odd q the sum runs over 0 < 2i <= q+1 (its last term is v_0 = 2) and
-    1 is subtracted.
+    1 is subtracted.  The summed indices step by 2p, so by Lucas's addition law
+    v_{j+2p} = v_{2p} v_j - v_{j-2p} their terms are one walk with parameter v_{2p} - 2.
     """
     _check_m(m)
     _check_index(p)
     if q < 1:
         raise ValueError(f"factor q must be >= 1, got {_clip(q)}")
-    vs = v_prefix(m, p * (q - 1) + 1)
-    if q % 2 == 0:
-        return sum(vs[p * (q + 1 - 2 * i)] for i in range(1, q // 2 + 1))
-    total = sum(vs[p * (q + 1 - 2 * i)] for i in range(1, (q + 1) // 2 + 1))
-    return total - 1
+    r = 1 - q % 2  # the least summed index is r * p
+    terms = _walk(v_seq(m, 2 * p) - 2, v_seq(m, r * p), v_seq(m, (r + 2) * p), (q + 1) // 2)
+    return sum(terms) - q % 2
 
 
 def observed_valuation(x: int, prime: int) -> int:

@@ -329,6 +329,22 @@ def test_input_file_that_is_not_utf8_is_named(tmp_path, capsys, json_flag, comma
     assert err == f"critgraph: error: cannot read {_clip(str(path))}: not UTF-8 text\n"
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("command, option, text", [
+    ("snf", "--matrix", "2 2\n4 0\n0 6\n"),
+    ("graph-group", "--edges", "0 1\n1 2\n2 3\n3 0\n"),
+], ids=["snf", "graph-group"])
+def test_input_file_with_a_byte_order_mark_parses(tmp_path, capsys, json_flag, command, option, text):
+    # some editors, Windows Notepad among them, start UTF-8 files with EF BB BF
+    outputs = []
+    for name, data in (("plain.txt", text.encode()), ("bom.txt", b"\xef\xbb\xbf" + text.encode())):
+        path = tmp_path / name
+        path.write_bytes(data)
+        outputs.append((run([command, option, str(path), *json_flag]), capsys.readouterr()))
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0]
+
+
 def test_graph_group_file(tmp_path, capsys):
     path = tmp_path / "g.txt"
     lines = []
@@ -627,7 +643,7 @@ def test_verify_parallelism_is_clamped_to_cpus_and_range(capsys, monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     assert run(["verify", "--range", "3..8"]) == 0
     serial = capsys.readouterr().out
     for parallelism, range_text, workers in (
@@ -641,7 +657,14 @@ def test_verify_parallelism_is_clamped_to_cpus_and_range(capsys, monkeypatch):
         assert sizes.pop() == workers
         if range_text == "3..8":
             assert out == serial
-    # one CPU: no pool at all
+    # affinity allows one CPU of the host's eight: no pool at all
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert run(["verify", "--range", "3..8", "--parallelism", "0"]) == 0
+    assert capsys.readouterr().out == serial
+    assert sizes == []
+    # one CPU: no pool at all, where os has no affinity and cpu_count() knows nothing
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert run(["verify", "--range", "3..8", "--parallelism", "4"]) == 0
     assert capsys.readouterr().out == serial

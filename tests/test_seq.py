@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from critgraph.seq import (
@@ -65,6 +67,27 @@ def test_partial_sum_base_cases():
     assert v_partial_sum(2, 1, 2) == 4  # v_1(2)
     with pytest.raises(ValueError):
         v_partial_sum(2, 1, 0)
+
+
+def test_partial_sum_is_the_direct_sum_of_single_terms():
+    # p = 0 included, with both parities of q
+    for m in range(1, 7):
+        for p in range(13):
+            for q in range(1, 16):
+                direct = sum(v_seq(m, p * (q + 1 - 2 * i)) for i in range(1, (q + 1) // 2 + 1))
+                assert v_partial_sum(m, p, q) == direct - q % 2, (m, p, q)
+
+
+def test_partial_sum_holds_no_table():
+    # the p(q-1)+1 = 59,701 terms v_0..v_59700(1) together take hundreds of MB
+    tracemalloc.start()
+    try:
+        w = v_partial_sum(1, 300, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert w * u_seq(1, 300) == u_seq(1, 60000)
 
 
 def test_factorization_identity():
