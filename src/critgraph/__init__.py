@@ -31,7 +31,6 @@ from .graph import (
 )
 from .seq import (
     SeqKind,
-    derived_prefix,
     derived_seq,
     observed_valuation,
     parity_split,
@@ -80,7 +79,6 @@ __all__ = [
     "closed_form_raw_factors",
     "coeffs",
     "cycle",
-    "derived_prefix",
     "derived_seq",
     "det",
     "det_bareiss",

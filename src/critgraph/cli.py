@@ -51,6 +51,12 @@ from .treecount import _require_tolerance, tree_count_closed, tree_count_matrix,
 # entries grow with |V|, and is checked before the Laplacian is built.
 MAX_GRAPH_VERTICES = 1000
 
+# Largest n of ``group N --method relations``.  The route's time is that of
+# the 8x8 SNF, whose entries grow with n and whose time is not monotone in
+# n; the cap is set from a timed sweep of n below it, and is checked before
+# the matrix is built.
+MAX_RELATIONS_N = 3500
+
 # Largest ``valuations --upto``: the run walks every n up to it, in time
 # linear in it, and is checked before the walk.
 MAX_VALUATIONS_UPTO = 200_000
@@ -128,6 +134,10 @@ def _cmd_group(args: argparse.Namespace) -> int:
     if args.method == "closed":
         group = closed_form_group(n)
     elif args.method == "relations":
+        if n > MAX_RELATIONS_N:
+            raise _UsageError(
+                f"n = {_clip(n)}: the relations route handles n <= {MAX_RELATIONS_N} (8x8 SNF time)"
+            )
         group = group_via_relations(n)
     else:
         _require_laplacian_size(n)

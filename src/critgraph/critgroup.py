@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .exactla import IntegerMatrix, _clip, is_unimodular, snf
 from .graph import Multigraph, _require_c4xcn_n, sparse_laplacian
-from .seq import _u_pair, parity_split, u_prefix, u_seq
+from .seq import _start, _u_pair, _walk, parity_split, u_seq
 
 
 @dataclass(frozen=True)
@@ -247,12 +247,13 @@ def verify_layer_expansion(n: int) -> bool:
     (a, b, c) = coeffs(i) on layer 1 and minus that of coeffs(i-1) on
     layer 0, for every 1 <= i <= n."""
     _require_c4xcn_n(n)
-    es, fs = u_prefix(2, n + 1), u_prefix(4, n + 1)
+    # one term of e and of f at a time, not their tables
+    terms = zip(_walk(*_start("e"), n + 1), _walk(*_start("f"), n + 1))
     unit = [[int(j == k) for k in range(8)] for j in range(8)]
     prev, cur = unit[:4], unit[4:]  # layers 0 and 1
-    before = _circulant_block(0, es[0], fs[0])
-    for i in range(1, n + 1):
-        block = _circulant_block(i, es[i], fs[i])
+    before = _circulant_block(0, *next(terms))
+    for i, (e, f) in enumerate(terms, start=1):
+        block = _circulant_block(i, e, f)
         if cur != [[-x for x in p] + c for p, c in zip(before, block)]:
             return False
         prev, cur = cur, [

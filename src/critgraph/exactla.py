@@ -170,6 +170,15 @@ class SparseMatrix:
     def __init__(self, rows: list[dict[int, int]], col_count: int):
         if not rows or col_count < 1:
             raise ValueError("matrix must have at least one row and one column")
+        # as in IntegerMatrix: a float raises TypeError, and a key outside
+        # the columns ValueError, rather than give a wrong SNF later
+        for i, entries in enumerate(rows):
+            for j, x in entries.items():
+                operator.index(x)
+                if not 0 <= operator.index(j) < col_count:
+                    raise ValueError(
+                        f"row {i} has column {_clip(j)}, outside 0..{_clip(col_count - 1)}"
+                    )
         self.rows = rows
         self.col_count = col_count
 

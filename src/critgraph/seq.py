@@ -143,12 +143,6 @@ def derived_seq(kind: SeqKind, n: int) -> int:
     return u + u_next if kind.summed else u
 
 
-def derived_prefix(kind: SeqKind, count: int) -> list[int]:
-    """[x_0, ..., x_{count-1}] for x = e, f, h or g, in one pass."""
-    _check_kind(kind)
-    return list(_walk(*_start(kind.value), count))
-
-
 def table_texts(kind: str, m: Optional[int], count: int) -> list[str]:
     """The decimal strings of the first ``count`` terms of table ``kind``
     ('u' or 'v' with the parameter m, or 'e', 'f', 'h' or 'g' with m None).

@@ -74,6 +74,7 @@ def trig_product_check(
     report carries the relative residual and passes iff it is within
     ``rel_tolerance``.
     """
+    _require_c4xcn_n(n)
     _require_tolerance(rel_tolerance)
     if count is None:
         count = tree_count_closed(n)

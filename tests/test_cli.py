@@ -10,11 +10,11 @@ import pytest
 
 import critgraph
 from critgraph import cli, critgroup, treecount
-from critgraph.cli import MAX_GRAPH_VERTICES, MAX_VALUATIONS_UPTO, run
+from critgraph.cli import MAX_GRAPH_VERTICES, MAX_RELATIONS_N, MAX_VALUATIONS_UPTO, run
 from critgraph.critgroup import closed_form_group
 from critgraph.exactla import _clip
 from critgraph.seq import (
-    SeqKind, derived_prefix, observed_valuation, predicted_valuation, u_prefix, v_prefix,
+    SeqKind, derived_seq, observed_valuation, predicted_valuation, u_prefix, v_prefix,
 )
 
 
@@ -527,10 +527,12 @@ def _at_digit_limit():
         (["graph-group", "--edges", "{path}"], "0 {big}\n", f"at most {MAX_GRAPH_VERTICES}"),
         (["graph-group", "--edges", "{path}"], "vertices 3\n0 {big}\n", "is out of range for 'vertices 3'"),
         (["group", "{big}", "--method", "snf"], None, "at most 1000 vertices (n <= 250)"),
+        (["group", "{big}", "--method", "relations"], None, f"n <= {MAX_RELATIONS_N}"),
         (["treecount", "{big}", "--check", "matrix"], None, "at most 1000 vertices (n <= 250)"),
         (["verify", "--range", "3..{big}"], None, "at most 1000 vertices (n <= 250)"),
     ],
-    ids=["vertex-header", "vertex-id", "id-over-header", "group-snf", "treecount-matrix", "verify"],
+    ids=["vertex-header", "vertex-id", "id-over-header", "group-snf", "group-relations",
+         "treecount-matrix", "verify"],
 )
 def test_size_errors_do_not_print_the_whole_size(tmp_path, capsys, json_flag, argv, edges, cap):
     big = _at_digit_limit()
@@ -596,6 +598,25 @@ def test_laplacian_routes_reject_n_over_cap(capsys, monkeypatch):
     assert run(["treecount", str(cap + 1), "--check", "trig"]) == 0
     assert run(["group", str(cap + 1), "--method", "relations"]) == 0
     capsys.readouterr()
+
+
+def test_relations_route_rejects_n_over_cap(capsys, monkeypatch):
+    # N = cap + 1 exits 2 before the relations matrix is built; N = cap
+    # enters the route, whose 8x8 SNF is stubbed so that the test stays fast
+    def no_build(n):
+        raise _Built(n)
+
+    monkeypatch.setattr(cli, "group_via_relations", no_build)
+    for json_flag in ([], ["--json"]):
+        assert run(["group", str(MAX_RELATIONS_N + 1), "--method", "relations", *json_flag]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"critgraph: error: n = {MAX_RELATIONS_N + 1}: the relations route handles"
+            f" n <= {MAX_RELATIONS_N} (8x8 SNF time)\n"
+        )
+        with pytest.raises(_Built):
+            run(["group", str(MAX_RELATIONS_N), "--method", "relations", *json_flag])
 
 
 def test_verify_sweep(capsys):
@@ -852,7 +873,8 @@ def _table(kind, m, count):
         return u_prefix(m, count)
     if kind == "v":
         return v_prefix(m, count)
-    return derived_prefix(SeqKind(kind), count)
+    # fast doubling, so that the reference shares no walk with seq.table_texts
+    return [derived_seq(SeqKind(kind), i) for i in range(count)]
 
 
 @pytest.mark.parametrize(

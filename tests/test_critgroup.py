@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -419,6 +420,18 @@ def test_layer_expansion_detects_a_wrong_circulant(monkeypatch):
 
     monkeypatch.setattr(critgroup, "_circulant_block", off_by_one)
     assert not verify_layer_expansion(5)
+
+
+def test_layer_expansion_holds_no_table():
+    # the tables e_0..e_2000 and f_0..f_2000 together peak at 1.4 MB; the
+    # check reads each term once, so it holds a few terms of 5000 bits
+    tracemalloc.start()
+    try:
+        assert verify_layer_expansion(2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 # -- staged reduction fixtures and pipeline --------------------------------

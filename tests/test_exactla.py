@@ -339,6 +339,23 @@ def test_sparse_matrix_round_trip_and_entry_points():
         det(SparseMatrix([{0: 1, 1: 2}], 2))
 
 
+def test_sparse_matrix_rejects_what_integer_matrix_rejects():
+    # a key outside the columns, or an entry that is not an integer, raises
+    # at construction: unchecked, key -1 indexes the last column, and the
+    # SNF of [{-1: 2}, {0: 3}] read (3, 0) and det 0, where the dense
+    # [[0, 2], [3, 0]] gives (1, 6) and -6
+    for key in (-1, 5, 10**5000):
+        rows = [{key: 2}, {0: 3}]
+        with pytest.raises(ValueError, match=r"^row 0 has column .*, outside 0\.\.1$") as raised:
+            SparseMatrix(rows, 2)
+        assert len(str(raised.value)) < 120
+    for rows in ([{0: 2.0}, {1: 3}], [{0.0: 2}, {1: 3}], [{0: 1}, {1: "3"}]):
+        with pytest.raises(TypeError):
+            SparseMatrix(rows, 2)
+    rows = [{0: 1, 1: -1}, {1: 2}]
+    assert SparseMatrix(rows, 2).rows is rows  # shared, not copied
+
+
 def test_unit_elimination_reads_without_writing():
     # explicit zeros are dropped, and the input dicts stay as they were
     rows = [{0: 2, 1: -1, 2: 0}, {0: -1, 1: 2, 2: -1}, {1: -1, 2: 1}]

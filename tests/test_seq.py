@@ -4,7 +4,6 @@ import pytest
 
 from critgraph.seq import (
     SeqKind,
-    derived_prefix,
     derived_seq,
     observed_valuation,
     parity_split,
@@ -45,6 +44,8 @@ def test_rejects_degenerate_parameter():
         u_seq(2.0, 3)
     with pytest.raises(TypeError):
         u_prefix(2.0, 3)
+    with pytest.raises(ValueError):
+        u_prefix(2, -1)
 
 
 def test_derived_sequences():
@@ -52,6 +53,8 @@ def test_derived_sequences():
     assert derived_seq(SeqKind.H, 2) == 19  # e_2 + e_3 = 4 + 15
     assert derived_seq(SeqKind.G, 0) == 1  # f_0 + f_1
     assert derived_seq(SeqKind.F, 5) == 1189
+    with pytest.raises(ValueError):
+        derived_seq("e", 3)
 
 
 def test_kind_fixes_parameter():
@@ -222,18 +225,6 @@ def test_large_index_doubling_identity():
     p = 10**5
     for m in (2, 4):
         assert u_seq(m, 2 * p) == u_seq(m, p) * v_seq(m, p)
-
-
-def test_derived_prefix_matches_point_values():
-    for kind in SeqKind:
-        for count in (0, 1, 2, 300):
-            assert derived_prefix(kind, count) == [derived_seq(kind, i) for i in range(count)]
-    with pytest.raises(ValueError):
-        derived_prefix(SeqKind.E, -1)
-    with pytest.raises(ValueError):
-        derived_prefix("e", 3)
-    with pytest.raises(ValueError):
-        derived_seq("e", 3)
 
 
 def test_parity_split():

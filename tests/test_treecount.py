@@ -79,6 +79,15 @@ def test_trig_product_small_cases():
     assert trig_product_check(5, 2**1023).trig_passed
 
 
+@pytest.mark.parametrize("n", [2, 0, -3])
+def test_trig_product_checks_n_with_a_given_count(n):
+    # a count from the caller does not skip the check on n
+    with pytest.raises(ValueError, match=r"^C4 x Cn needs n >= 3, got " + str(n) + "$"):
+        trig_product_check(n, count=5)
+    with pytest.raises(ValueError, match=r"^C4 x Cn needs n >= 3"):
+        trig_product_check(n)
+
+
 @pytest.mark.parametrize("n", [1000, 2000])
 def test_trig_product_passes_past_the_float_range(n):
     # counts of 6352 and 12696 bits: float(count) would overflow
