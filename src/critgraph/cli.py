@@ -5,7 +5,8 @@ Subcommands, one per capability:
   group N          invariant factors of K(C4 x Cn) (closed form,
                    relations matrix, or full Laplacian SNF)
   treecount N      spanning-tree count with optional cross-checks
-  seq KIND         sequence table (e, f, h, g, or raw u/v with --m)
+  seq KIND         sequence table (e, f, h, g, or raw u/v with --m) whose
+                   --upto times the bit length of m + 2 is <= MAX_SEQ_BITS
   valuations       predicted vs observed 2- and 3-adic valuations of
                    e_n and f_n for 2 <= n <= --upto (at most 200000)
   subgroup N1 N2   factorwise subgroup test between two critical groups
@@ -15,8 +16,10 @@ Subcommands, one per capability:
                    staged-reduction pipeline)
 
 Exit status: 0 success/verified, 1 a verification check failed,
-2 usage or input error.  ``--json`` switches to a machine-readable
-format in which every integer is a decimal string.
+2 usage or input error; the console script ends by SIGPIPE (141 in a
+shell) when its stdout pipe closes early, as ``... | head`` does.
+``--json`` switches to a machine-readable format in which every integer
+is a decimal string.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import itertools
 import json
 import os
 import re
+import signal
 import sys
 import time
 
@@ -56,6 +60,17 @@ MAX_GRAPH_VERTICES = 1000
 # n; the cap is set from a timed sweep of n below it, and is checked before
 # the matrix is built.
 MAX_RELATIONS_N = 3500
+
+# Largest n of the closed-form routes: ``group N --method closed``,
+# ``treecount N`` (with ``--check trig``, which sums n logarithms) and
+# ``subgroup N1 N2`` (on the larger n).  Their time is that of the
+# big-integer terms of index about n/2; the cap is set from a timed sweep,
+# and is checked before any work.
+MAX_CLOSED_FORM_N = 400_000
+
+# Largest --upto times the bit length of m + 2 of a ``seq`` table, checked
+# before the walk: it bounds the bits of the last term, as u_k(m) <= (m + 2)^k.
+MAX_SEQ_BITS = 24_576
 
 # Largest ``valuations --upto``: the run walks every n up to it, in time
 # linear in it, and is checked before the walk.
@@ -129,15 +144,22 @@ def _require_laplacian_size(n: int) -> None:
         )
 
 
+def _require_n_at_most(n: int, cap: int, route: str, cost: str) -> None:
+    if n > cap:
+        raise _UsageError(f"n = {_clip(n)}: the {route} route handles n <= {cap} ({cost})")
+
+
+def _require_closed_form_size(n: int) -> None:
+    _require_n_at_most(n, MAX_CLOSED_FORM_N, "closed-form", "big-integer time")
+
+
 def _cmd_group(args: argparse.Namespace) -> int:
     n = args.n
     if args.method == "closed":
+        _require_closed_form_size(n)
         group = closed_form_group(n)
     elif args.method == "relations":
-        if n > MAX_RELATIONS_N:
-            raise _UsageError(
-                f"n = {_clip(n)}: the relations route handles n <= {MAX_RELATIONS_N} (8x8 SNF time)"
-            )
+        _require_n_at_most(n, MAX_RELATIONS_N, "relations", "8x8 SNF time")
         group = group_via_relations(n)
     else:
         _require_laplacian_size(n)
@@ -153,6 +175,7 @@ def _cmd_treecount(args: argparse.Namespace) -> int:
         _require_tolerance(args.tolerance)  # before the count, which can take long
     if args.check in ("matrix", "all"):
         _require_laplacian_size(n)
+    _require_closed_form_size(n)
     count = tree_count_closed(n)
     count_text = str(count)
     checks: list[dict] = []
@@ -199,6 +222,10 @@ def _cmd_seq(args: argparse.Namespace) -> int:
             raise _UsageError(f"sequence kind '{kind}' requires --m")
     elif m is not None:
         raise _UsageError("--m only applies to kinds 'u' and 'v'")
+    walk_m = _start(kind, m)[0]  # checks m
+    if upto * (walk_m + 2).bit_length() > MAX_SEQ_BITS:
+        raise _UsageError(f"--upto {_clip(upto)} with m = {_clip(walk_m)}: seq prints tables whose --upto"
+                          f" times the bit length of m + 2 is at most {MAX_SEQ_BITS}")
     texts = table_texts(kind, m, upto + 1)
     payload = {
         "command": "seq",
@@ -268,6 +295,7 @@ def _cmd_valuations(args: argparse.Namespace) -> int:
 def _cmd_subgroup(args: argparse.Namespace) -> int:
     n1, n2 = args.n1, args.n2
     _require_c4xcn_n(min(n1, n2))  # before the work on n1
+    _require_closed_form_size(max(n1, n2))
     g1 = closed_form_group(n1)
     g2 = g1 if n2 == n1 else closed_form_group(n2)
     ok = factorwise_subgroup(g1, g2)
@@ -460,6 +488,10 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
+    # a closed stdout pipe ends the console script as it ends other filters,
+    # with no traceback; run, which callers use in process, keeps the signal
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

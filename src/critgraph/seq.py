@@ -26,7 +26,6 @@ even-cycle Smith-normal-form case analysis effective.
 from __future__ import annotations
 
 import operator
-import sys
 from enum import Enum
 from typing import Iterator, Optional
 
@@ -148,9 +147,8 @@ def table_texts(kind: str, m: Optional[int], count: int) -> list[str]:
     ('u' or 'v' with the parameter m, or 'e', 'f', 'h' or 'g' with m None).
 
     The walk runs over exact decimals: every rounding is trapped, so it
-    raises rather than print a wrong digit.  A term with more digits than
-    the interpreter allows in the string of an int raises the ValueError
-    that ``str`` of that int raises, at the first such term.
+    raises rather than print a wrong digit.  The digit limit of str(int)
+    does not apply, so the caller bounds the table (``cli.MAX_SEQ_BITS``).
     """
     import decimal  # here, so that importing the package does not pay for it
 
@@ -161,16 +159,8 @@ def table_texts(kind: str, m: Optional[int], count: int) -> list[str]:
         traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow,
                decimal.Inexact, decimal.Rounded],
     )
-    # 0 means no limit, as on interpreters without the setting
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    texts = []
     with decimal.localcontext(exact):
-        for term in _walk(*map(decimal.Decimal, (m, a, b)), count):
-            text = str(term)
-            if len(text) > limit > 0:
-                str(int(term))  # raises the interpreter's error for this int
-            texts.append(text)
-    return texts
+        return [str(term) for term in _walk(*map(decimal.Decimal, (m, a, b)), count)]
 
 
 def parity_split(n: int) -> tuple[int, int, int]:

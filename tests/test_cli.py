@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -10,11 +11,13 @@ import pytest
 
 import critgraph
 from critgraph import cli, critgroup, treecount
-from critgraph.cli import MAX_GRAPH_VERTICES, MAX_RELATIONS_N, MAX_VALUATIONS_UPTO, run
+from critgraph.cli import (
+    MAX_CLOSED_FORM_N, MAX_GRAPH_VERTICES, MAX_RELATIONS_N, MAX_SEQ_BITS, MAX_VALUATIONS_UPTO, run,
+)
 from critgraph.critgroup import closed_form_group
 from critgraph.exactla import _clip
 from critgraph.seq import (
-    SeqKind, derived_seq, observed_valuation, predicted_valuation, u_prefix, v_prefix,
+    SeqKind, derived_seq, observed_valuation, predicted_valuation, u_prefix, u_seq, v_seq,
 )
 
 
@@ -530,9 +533,13 @@ def _at_digit_limit():
         (["group", "{big}", "--method", "relations"], None, f"n <= {MAX_RELATIONS_N}"),
         (["treecount", "{big}", "--check", "matrix"], None, "at most 1000 vertices (n <= 250)"),
         (["verify", "--range", "3..{big}"], None, "at most 1000 vertices (n <= 250)"),
+        (["group", "{big}"], None, f"n <= {MAX_CLOSED_FORM_N}"),
+        (["treecount", "{big}", "--check", "trig"], None, f"n <= {MAX_CLOSED_FORM_N}"),
+        (["subgroup", "3", "{big}"], None, f"n <= {MAX_CLOSED_FORM_N}"),
+        (["seq", "e", "--upto", "{big}"], None, f"at most {MAX_SEQ_BITS}"),
     ],
     ids=["vertex-header", "vertex-id", "id-over-header", "group-snf", "group-relations",
-         "treecount-matrix", "verify"],
+         "treecount-matrix", "verify", "group-closed", "treecount-trig", "subgroup", "seq"],
 )
 def test_size_errors_do_not_print_the_whole_size(tmp_path, capsys, json_flag, argv, edges, cap):
     big = _at_digit_limit()
@@ -617,6 +624,34 @@ def test_relations_route_rejects_n_over_cap(capsys, monkeypatch):
         )
         with pytest.raises(_Built):
             run(["group", str(MAX_RELATIONS_N), "--method", "relations", *json_flag])
+
+
+def test_closed_form_routes_reject_n_over_cap(capsys, monkeypatch):
+    # N = cap + 1, the larger n for subgroup, exits 2 before any work; N = cap
+    # enters the route, whose closed form is stubbed so that the test stays fast
+    def no_work(n):
+        raise _Built(n)
+
+    monkeypatch.setattr(cli, "closed_form_group", no_work)
+    monkeypatch.setattr(cli, "tree_count_closed", no_work)
+    for argv in (
+        ["group", "{}"],
+        ["group", "{}", "--method", "closed"],
+        ["treecount", "{}"],
+        ["treecount", "{}", "--check", "trig"],
+        ["subgroup", "3", "{}"],
+        ["subgroup", "{}", "3"],
+    ):
+        for json_flag in ([], ["--json"]):
+            assert run([a.format(MAX_CLOSED_FORM_N + 1) for a in argv] + json_flag) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == (
+                f"critgraph: error: n = {MAX_CLOSED_FORM_N + 1}: the closed-form route handles"
+                f" n <= {MAX_CLOSED_FORM_N} (big-integer time)\n"
+            )
+            with pytest.raises(_Built):
+                run([a.format(MAX_CLOSED_FORM_N) for a in argv] + json_flag)
 
 
 def test_verify_sweep(capsys):
@@ -842,18 +877,22 @@ def test_parser_built_once_survives_usage_error_and_help(capsys):
     assert cli._parser.cache_info().misses == 1
 
 
+def _package_env():
+    """The environment of a fresh interpreter that imports this critgraph."""
+    src = str(Path(critgraph.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def _loaded_by_import(module):
     """Whether ``import critgraph.cli`` in a fresh interpreter loads ``module``."""
     code = (
         f"import sys; before = {module!r} in sys.modules; import critgraph.cli; "
         f"print({module!r} in sys.modules and not before)"
     )
-    src = str(Path(critgraph.__file__).resolve().parent.parent)
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run(
         [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True, timeout=60,
+        env=_package_env(), capture_output=True, text=True, check=True, timeout=60,
     )
     return done.stdout.strip() == "True"
 
@@ -868,13 +907,36 @@ def test_import_leaves_decimal_unloaded():
     assert not _loaded_by_import("decimal")
 
 
+def _strings(values):
+    """str() of each int, with the interpreter's digit limit lifted for the
+    call and restored after it."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return [str(v) for v in values]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _table(kind, m, count):
-    if kind == "u":
-        return u_prefix(m, count)
-    if kind == "v":
-        return v_prefix(m, count)
     # fast doubling, so that the reference shares no walk with seq.table_texts
-    return [derived_seq(SeqKind(kind), i) for i in range(count)]
+    if kind in ("u", "v"):
+        term = u_seq if kind == "u" else v_seq
+        return _strings(term(m, i) for i in range(count))
+    return _strings(derived_seq(SeqKind(kind), i) for i in range(count))
+
+
+# the interpreter's limit on the digits of str(int), or its default where it has none
+_DIGIT_LIMIT = (sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0) or 4300
+
+
+def _over_the_seq_bound(upto, m):
+    return (
+        f"critgraph: error: --upto {_clip(upto)} with m = {_clip(m)}: seq prints tables whose"
+        f" --upto times the bit length of m + 2 is at most {MAX_SEQ_BITS}\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -883,18 +945,17 @@ def _table(kind, m, count):
     ids=lambda value: "10**50" if value == 10**50 else None,
 )
 def test_seq_table_equals_the_int_table(capsys, kind, m):
-    # where the int strings hit the digit limit, the table fails with their error
+    # a table over the bound is refused before its walk, and its reference is not built
     m_flag = [] if m is None else ["--m", str(m)]
+    walk_m = SeqKind(kind).m if m is None else m
     for upto in (0, 1, 2, 1500):
-        try:
-            texts = [str(v) for v in _table(kind, m, upto + 1)]
-        except ValueError as exc:
-            texts, error = None, f"critgraph: error: {exc}\n"
+        over = upto * (walk_m + 2).bit_length() > MAX_SEQ_BITS
+        texts = None if over else _table(kind, m, upto + 1)
         for json_flag in ([], ["--json"]):
             rc = run(["seq", kind, "--upto", str(upto), *m_flag, *json_flag])
             out, err = capsys.readouterr()
-            if texts is None:
-                assert (rc, out, err) == (2, "", error)
+            if over:
+                assert (rc, out, err) == (2, "", _over_the_seq_bound(upto, walk_m))
             elif json_flag:
                 assert (rc, json.loads(out)["values"], err) == (0, texts, "")
             else:
@@ -903,20 +964,65 @@ def test_seq_table_equals_the_int_table(capsys, kind, m):
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
-@pytest.mark.parametrize("argv", [
-    # f_n has about 0.77 n digits, and u_3 = (m + 2)^2 - 1 twice the digits of m
-    lambda limit: ["seq", "f", "--upto", str(limit * 6000 // 4300)],
-    lambda limit: ["seq", "u", "--m", "9" * (limit * 4000 // 4300), "--upto", "3"],
-], ids=["f-upto-6000", "u-m-4000-digits"])
-def test_seq_table_over_the_digit_limit_fails_as_int_strings_do(capsys, json_flag, argv):
-    limit, _ = _over_digit_limit()
-    with pytest.raises(ValueError) as raised:
-        str(10**limit)
-    assert f"Exceeds the limit ({limit} digits)" in str(raised.value)
-    assert run(argv(limit) + json_flag) == 2
+def test_seq_table_prints_past_the_digit_limit(capsys, json_flag):
+    # f_n has about 0.77 n digits, so the last terms pass the limit of str()
+    upto = _DIGIT_LIMIT * 6000 // 4300
+    texts = _table("f", None, upto + 1)
+    assert len(texts[-1]) > _DIGIT_LIMIT
+    assert run(["seq", "f", "--upto", str(upto), *json_flag]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if json_flag:
+        assert json.loads(out)["values"] == texts
+    else:
+        assert out == "".join(f"{i} {text}\n" for i, text in enumerate(texts))
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("kind, m_digits", [("e", None), ("u", 4000)], ids=["e", "u-m-4000-digits"])
+def test_seq_table_over_the_bound_exits_before_the_walk(capsys, monkeypatch, json_flag, kind, m_digits):
+    # bound + 1 exits 2 before the walk; at the bound the walk, stubbed, is entered
+    def no_walk(*args):
+        raise _Built(args)
+
+    monkeypatch.setattr(cli, "table_texts", no_walk)
+    m_flag = [] if m_digits is None else ["--m", "9" * (_DIGIT_LIMIT * m_digits // 4300)]
+    walk_m = SeqKind(kind).m if m_digits is None else int(m_flag[1])
+    at_bound = MAX_SEQ_BITS // (walk_m + 2).bit_length()
+    assert run(["seq", kind, "--upto", str(at_bound + 1), *m_flag, *json_flag]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"critgraph: error: {raised.value}\n"
+    assert err == _over_the_seq_bound(at_bound + 1, walk_m) and len(err) < 250
+    with pytest.raises(_Built):
+        run(["seq", kind, "--upto", str(at_bound), *m_flag, *json_flag])
+
+
+def test_seq_table_bytes_do_not_depend_on_the_digit_limit():
+    # g_1000 has 766 digits, over the smallest limit the interpreter allows
+    outputs = [
+        subprocess.run(
+            [sys.executable, *flag, "-m", "critgraph.cli", "seq", "g", "--upto", "1000"],
+            env=_package_env(), capture_output=True, check=True, timeout=60,
+        )
+        for flag in (["-X", "int_max_str_digits=640"], [], ["-X", "int_max_str_digits=0"])
+    ]
+    assert len(outputs[0].stdout.splitlines()[-1]) > 640
+    assert [(done.stdout, done.stderr) for done in outputs] == [(outputs[0].stdout, b"")] * 3
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the OS has no SIGPIPE")
+def test_closed_stdout_pipe_ends_the_console_script_quietly():
+    # as ``critgraph seq e --upto 3000 | head -n 1``: the 2.6 MB table overfills
+    # the pipe, whose reader closes it after one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "critgraph.cli", "seq", "e", "--upto", "3000"],
+        env=_package_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"0 0\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (-signal.SIGPIPE, b"")
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])

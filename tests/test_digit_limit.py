@@ -50,6 +50,8 @@ SITES = {
     "trig-tolerance": (ValueError, lambda x: trig_product_check(5, x)),
     "cli-laplacian-size": (cli._UsageError, lambda x: cli._require_laplacian_size(abs(x))),
     "cli-seq-upto": (cli._UsageError, lambda x: cli._cmd_seq(_namespace(kind="e", upto=-abs(x), m=None))),
+    "cli-seq-bound": (cli._UsageError, lambda x: cli._cmd_seq(_namespace(kind="u", upto=abs(x), m=abs(x)))),
+    "cli-closed-form-size": (cli._UsageError, lambda x: cli._require_closed_form_size(abs(x))),
     "cli-valuations-low": (cli._UsageError, lambda x: cli._cmd_valuations(_namespace(upto=-abs(x)))),
     "cli-valuations-high": (cli._UsageError, lambda x: cli._cmd_valuations(_namespace(upto=abs(x)))),
     "cli-parallelism": (
