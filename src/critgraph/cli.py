@@ -33,6 +33,7 @@ import re
 import signal
 import sys
 import time
+from collections.abc import Iterable
 
 from .critgroup import (
     closed_form_group,
@@ -91,14 +92,14 @@ class _Parser(argparse.ArgumentParser):
         super().error(_clip(re.sub(r"[^\s']{81,}", lambda token: _clip(token[0]), message), 240))
 
 
-def _emit(payload: dict, args: argparse.Namespace, text_lines: list[str]) -> None:
+def _emit(payload: dict, args: argparse.Namespace, text_lines: Iterable[str]) -> None:
+    """Write the JSON document or the text lines as they are rendered.  Every conversion
+    that can fail (str() past the digit limit) runs before the call: a failed run prints nothing."""
     if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        json.dump(payload, sys.stdout, sort_keys=True, indent=2)
+        sys.stdout.write("\n")
     else:
-        out = sys.stdout
-        for line in text_lines:
-            out.write(line)
-            out.write("\n")
+        sys.stdout.writelines(f"{line}\n" for line in text_lines)
 
 
 def _emit_group(args: argparse.Namespace, group, **fields: str) -> int:
@@ -235,8 +236,7 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     }
     if m is not None:
         payload["m"] = str(m)
-    lines = [f"{i} {text}" for i, text in enumerate(texts)]
-    _emit(payload, args, lines)
+    _emit(payload, args, (f"{i} {text}" for i, text in enumerate(texts)))
     return 0
 
 
@@ -395,8 +395,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             for n, ok, detail in results
         ],
     }
-    lines = [f"n={n} {'ok' if ok else 'FAIL'} ({detail})" for n, ok, detail in results]
-    _emit(payload, args, lines)
+    _emit(payload, args, (f"n={n} {'ok' if ok else 'FAIL'} ({detail})" for n, ok, detail in results))
     passed = sum(1 for _, ok, _ in results if ok)
     print(
         f"verified {lo}..{hi}: {passed}/{len(ns)} ok in {elapsed:.2f}s",

@@ -1,15 +1,16 @@
 """Critical groups (sandpile groups) of multigraphs, exactly.
 
-Three independent routes are provided for the four-cycle prism family
-C4 x Cn and cross-check each other:
+Three routes are provided for the four-cycle prism family C4 x Cn and
+cross-check each other; tests/test_routes.py pins the code they share:
 
   * :func:`group_of_graph` -- Smith normal form of the full 4n x 4n
     Laplacian (works for any connected multigraph);
-  * :func:`group_via_relations` -- SNF of an 8 x 8 relations matrix:
-    the cokernel relation propagates every layer onto the first two,
-    so eight generators suffice;
-  * :func:`closed_form_group` -- a seven-term gcd formula in the
-    sequences e, f, h, g, split by the parity of n and of n/2.
+  * :func:`group_via_relations` -- SNF of an 8 x 8 relations matrix by the
+    same SNF engine: the cokernel relation propagates every layer onto the
+    first two, so eight generators suffice;
+  * :func:`closed_form_group` -- a seven-term gcd formula in the sequences
+    e, f, h, g, split by the parity of n and of n/2, reading e and f by
+    the relations matrix's fast doubling.
 
 :func:`verify_reduction_pipeline` replays the chain of unimodular
 transformations that turns the 8 x 8 relations matrix into block-diagonal

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import signal
@@ -56,11 +58,26 @@ def test_group_rejects_small_n(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_json_round_trip_is_idempotent(capsys):
-    assert run(["group", "5", "--json"]) == 0
-    _, out = _json_out(capsys)
-    reparsed = json.dumps(json.loads(out), sort_keys=True, indent=2)
-    assert reparsed == out.strip()
+@pytest.mark.parametrize("argv", [
+    ["group", "5", "--method", "closed"],
+    ["group", "5", "--method", "relations"],
+    ["group", "5", "--method", "snf"],
+    ["treecount", "5", "--check", "all"],
+    ["seq", "u", "--m", "3", "--upto", "12"],
+    ["valuations", "--upto", "50"],
+    ["subgroup", "3", "6"],
+    ["snf", "--matrix", "{path}"],
+    ["graph-group", "--edges", "{path}"],
+    ["verify", "--range", "3..5", "--pipeline"],
+], ids=["group-closed", "group-relations", "group-snf", "treecount-all", "seq", "valuations", "subgroup",
+        "snf", "graph-group", "verify"])
+def test_json_round_trip_is_idempotent(tmp_path, capsys, argv):
+    # the document is written in chunks as it is rendered; they add up to the one canonical dump
+    path = tmp_path / "input.txt"
+    path.write_text("2 2\n2 4\n6 0\n" if argv[0] == "snf" else "0 1\n1 2\n2 3\n3 0\n")
+    assert run([a.format(path=path) for a in argv] + ["--json"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 def test_treecount_checks(capsys):
@@ -520,6 +537,23 @@ def _at_digit_limit():
     # the longest integer the reader accepts; 4n, or one plus an id, has one digit more
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     return "9" * (limit or 4300)
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [["group", "{n}"], ["treecount", "{n}", "--check", "trig"], ["subgroup", "3", "{n}"]],
+    ids=["group", "treecount-trig", "subgroup"],
+)
+def test_output_over_the_digit_limit_prints_nothing(capsys, json_flag, argv):
+    # every str() that can fail runs before the first write: at n = 2 * limit
+    # the largest invariant factor has about 4/3 of the limit's digits, the
+    # order and the count about 3.8 times the limit
+    limit, _ = _over_digit_limit()
+    assert run([a.format(n=2 * limit) for a in argv] + json_flag) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("critgraph: error: ") and "for integer string conversion" in err, err
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
@@ -1008,6 +1042,33 @@ def test_seq_table_bytes_do_not_depend_on_the_digit_limit():
     ]
     assert len(outputs[0].stdout.splitlines()[-1]) > 640
     assert [(done.stdout, done.stderr) for done in outputs] == [(outputs[0].stdout, b"")] * 3
+
+
+class _Sink(io.TextIOBase):
+    """A stdout that counts what is written to it and keeps none of it."""
+
+    written = 0
+
+    def write(self, text):
+        self.written += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_printed_table_is_held_once(json_flag):
+    # the table is held once, as its texts: a second copy (its lines, or the
+    # whole --json document) would take the peak past twice what is printed;
+    # the sink stands for /dev/null, as capsys keeps a copy tracemalloc counts
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert run(["seq", "u", "--m", "1", "--upto", "6144", *json_flag]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.written > 7_800_000
+    assert peak < 1.25 * sink.written, (peak, sink.written)
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the OS has no SIGPIPE")
