@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import re
@@ -45,7 +44,7 @@ from .critgroup import (
 )
 from .exactla import _clip, _read_int, parse_matrix, snf
 from .graph import _require_c4xcn_n, c4xcn, parse_edge_list
-from .seq import SeqKind, _start, _valuation_rule, _walk, observed_valuation, table_texts, u_seq
+from .seq import SeqKind, _start, first_valuation_mismatch, table_texts
 from .treecount import _require_tolerance, tree_count_closed, tree_count_matrix, trig_product_check
 
 # Largest vertex count the full-Laplacian route accepts: ``graph-group``,
@@ -246,50 +245,20 @@ def _cmd_valuations(args: argparse.Namespace) -> int:
         raise _UsageError(f"--upto must be >= 2, got {_clip(upto)}")
     if upto > MAX_VALUATIONS_UPTO:
         raise _UsageError(f"--upto must be <= {MAX_VALUATIONS_UPTO}, got {_clip(upto)}")
-    # (label, kind, prime, position of the kind's term in (e_n, f_n))
-    families = [
-        ("T2(e)", SeqKind.E, 2, 0),
-        ("T2(f)", SeqKind.F, 2, 1),
-        ("T3(e)", SeqKind.E, 3, 0),
-        ("T3(f)", SeqKind.F, 3, 1),
-    ]
-    # one walk over n of the residues of e_n and f_n modulo 6**top, which
-    # p**(k+1) divides for every exponent k the rule predicts (p**t | n <=
-    # upto gives t < upto.bit_length(), and k <= t + 1), so the residue
-    # decides exactly whether p**k is the power of p in the term; each index
-    # is factored once, a family drops out at its first mismatch, and only
-    # a mismatch takes the whole term, for the exponent it reports
-    top = upto.bit_length() + 1
-    terms = zip(*(_walk(*_start(kind.value), upto + 1, 6**top) for kind in (SeqKind.E, SeqKind.F)))
-    first_bad: dict[str, tuple[int, int, int]] = {}
-    for n, residues in enumerate(itertools.islice(terms, 2, None), start=2):
-        t2, t3 = observed_valuation(n, 2), observed_valuation(n, 3)
-        for label, kind, prime, at in families:
-            if label in first_bad:
-                continue
-            k = _valuation_rule(kind, prime, t2, t3)
-            residue = residues[at]
-            if residue % prime**k or not residue % prime**(k + 1):
-                first_bad[label] = (n, k, observed_valuation(u_seq(kind.m, n), prime))
-        if len(first_bad) == len(families):
-            break
+    families = [("T2(e)", SeqKind.E, 2), ("T2(f)", SeqKind.F, 2),
+                ("T3(e)", SeqKind.E, 3), ("T3(f)", SeqKind.F, 3)]
     checks = []
-    lines = []
-    status = 0
-    for label, *_ in families:
-        bad = first_bad.get(label)
-        ok = bad is None
+    for label, kind, prime in families:
+        bad = first_valuation_mismatch(kind, prime, upto)
         detail = (
             f"n=2..{upto} all match"
-            if ok
+            if bad is None
             else f"first mismatch at n={bad[0]}: predicted {bad[1]}, observed {bad[2]}"
         )
-        checks.append({"name": label, "pass": ok, "detail": detail})
-        lines.append(f"{label}: {'ok' if ok else 'FAIL'} ({detail})")
-        status |= 0 if ok else 1
+        checks.append({"name": label, "pass": bad is None, "detail": detail})
     payload = {"command": "valuations", "upto": str(upto), "checks": checks}
-    _emit(payload, args, lines)
-    return status
+    _emit(payload, args, (f"{c['name']}: {'ok' if c['pass'] else 'FAIL'} ({c['detail']})" for c in checks))
+    return 0 if all(c["pass"] for c in checks) else 1
 
 
 def _cmd_subgroup(args: argparse.Namespace) -> int:

@@ -88,9 +88,10 @@ def _walk(m, a, b, count: int, modulus: Optional[int] = None) -> Iterator:
     terms modulo it, given reduced seeds."""
     if count < 0:
         raise ValueError("count must be >= 0")
+    big_p = m + 2
     for _ in range(count):
         yield a
-        a, b = b, (m + 2) * b - a
+        a, b = b, big_p * b - a
         if modulus:
             b %= modulus
 
@@ -189,6 +190,15 @@ def v_partial_sum(m: int, p: int, q: int) -> int:
     return sum(terms) - q % 2
 
 
+def _exponent(x: int, p: int) -> int:
+    """Largest k with p**k dividing the nonzero x."""
+    k = 0
+    while x % p == 0:
+        x //= p
+        k += 1
+    return k
+
+
 def observed_valuation(x: int, prime: int) -> int:
     """Largest k with prime**k dividing |x|.  x = 0 is rejected (the
     valuation would be infinite)."""
@@ -197,37 +207,54 @@ def observed_valuation(x: int, prime: int) -> int:
         raise ValueError("valuation of 0 is undefined")
     if prime < 2:
         raise ValueError(f"prime must be >= 2, got {_clip(prime)}")
-    x = abs(x)
-    k = 0
-    while x % prime == 0:
-        x //= prime
-        k += 1
-    return k
+    return _exponent(x, prime)
+
+
+def _valuation_prime(kind: SeqKind, prime: int) -> int:
+    if kind not in (SeqKind.E, SeqKind.F):
+        raise ValueError("valuation predictions cover kinds E and F only")
+    if operator.index(prime) not in (2, 3):
+        raise ValueError(f"valuation predictions cover primes 2 and 3, got {_clip(prime)}")
+    return operator.index(prime)
 
 
 def predicted_valuation(kind: SeqKind, prime: int, n: int) -> int:
     """The exponent of ``prime`` in e_n (kind E) or f_n (kind F) for
-    p in {2, 3}, read off the exponents t2, t3 of 2 and 3 in n.
+    p in {2, 3}, read off the exponent t of p in n and the parity of n.
 
-        v2(e_n) = 0 if t2 = 0 else t2 + 1
-        v2(f_n) = t2
-        v3(e_n) = t3
-        v3(f_n) = 0 if t2 = 0 else t3 + 1
+        v2(e_n) = 0 for odd n, t + 1 for even n
+        v2(f_n) = t
+        v3(e_n) = t
+        v3(f_n) = 0 for odd n, t + 1 for even n
     """
-    if kind not in (SeqKind.E, SeqKind.F):
-        raise ValueError("valuation predictions cover kinds E and F only")
-    prime, n = operator.index(prime), operator.index(n)
-    if prime not in (2, 3):
-        raise ValueError(f"valuation predictions cover primes 2 and 3, got {_clip(prime)}")
+    prime, n = _valuation_prime(kind, prime), operator.index(n)
     if n < 1:
         raise ValueError(f"index must be >= 1, got {_clip(n)}")
-    return _valuation_rule(kind, prime, observed_valuation(n, 2), observed_valuation(n, 3))
+    return _valuation_rule(kind, prime, n)
 
 
-def _valuation_rule(kind: SeqKind, prime: int, t2: int, t3: int) -> int:
-    """The rule of :func:`predicted_valuation`, given the exponents t2, t3
-    of 2 and 3 in the index, so that a sweep over n factors each index
-    once for all four (kind, prime) pairs.  The arguments are not checked."""
-    if kind is SeqKind.E:
-        return t3 if prime == 3 else (0 if t2 == 0 else t2 + 1)
-    return t2 if prime == 2 else (0 if t2 == 0 else t3 + 1)
+def _valuation_rule(kind: SeqKind, prime: int, n: int) -> int:
+    """The rule of :func:`predicted_valuation`; the arguments are not checked."""
+    t = _exponent(n, prime)
+    if (kind is SeqKind.E) == (prime == 2):
+        return 0 if n % 2 else t + 1
+    return t
+
+
+def first_valuation_mismatch(kind: SeqKind, prime: int, upto: int) -> Optional[tuple[int, int, int]]:
+    """(n, predicted, observed) at the least n in 1..upto where the exponent of
+    ``prime`` in e_n (kind E) or f_n (kind F) is not :func:`predicted_valuation`,
+    or None.  One walk of the residues modulo prime**(upto.bit_length() + 1)
+    decides each n: p**t | n <= upto gives t < upto.bit_length(), and k <= t + 1,
+    so p**(k+1) divides the modulus.  Only a mismatch takes the whole term.
+    """
+    prime = _valuation_prime(kind, prime)
+    _check_index(operator.index(upto))
+    modulus = prime**(upto.bit_length() + 1)
+    residues = _walk(*_start(kind.value), upto + 1, modulus)
+    next(residues)  # n = 0: the term is 0, of no finite valuation
+    for n, residue in enumerate(residues, start=1):
+        k = _valuation_rule(kind, prime, n)
+        if residue % prime**k or not residue % prime**(k + 1):
+            return n, k, observed_valuation(u_seq(kind.m, n), prime)
+    return None

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import critgraph
-from critgraph import cli, critgroup, treecount
+from critgraph import cli, critgroup, seq, treecount
 from critgraph.cli import (
     MAX_CLOSED_FORM_N, MAX_GRAPH_VERTICES, MAX_RELATIONS_N, MAX_SEQ_BITS, MAX_VALUATIONS_UPTO, run,
 )
@@ -21,6 +21,7 @@ from critgraph.exactla import _clip
 from critgraph.seq import (
     SeqKind, derived_seq, observed_valuation, predicted_valuation, u_prefix, u_seq, v_seq,
 )
+from test_seq import _TIGHT_UPTOS
 
 
 def _json_out(capsys):
@@ -148,11 +149,11 @@ def test_valuations(capsys):
 
 
 def _scale_terms(monkeypatch, changes):
-    """Make the recurrence walks of ``cli._walk``, and the whole terms of
-    ``cli.u_seq`` that a mismatch reports, give term n of ``kind``
+    """Make the recurrence walks of ``seq._walk``, and the whole terms of
+    ``seq.u_seq`` that a mismatch reports, give term n of ``kind``
     multiplied by ``factor``, for each (kind, n, factor) in ``changes``;
     the walk of e or f is the one with the kind's parameter m."""
-    real_walk, real_u_seq = cli._walk, cli.u_seq
+    real_walk, real_u_seq = seq._walk, seq.u_seq
 
     def scale(m, n, term):
         for k, at, factor in changes:
@@ -164,8 +165,8 @@ def _scale_terms(monkeypatch, changes):
         for n, term in enumerate(real_walk(m, a, b, count, modulus)):
             yield scale(m, n, term)
 
-    monkeypatch.setattr(cli, "_walk", scaled_walk)
-    monkeypatch.setattr(cli, "u_seq", lambda m, n: scale(m, n, real_u_seq(m, n)))
+    monkeypatch.setattr(seq, "_walk", scaled_walk)
+    monkeypatch.setattr(seq, "u_seq", lambda m, n: scale(m, n, real_u_seq(m, n)))
 
 
 _FAMILIES = [
@@ -206,7 +207,7 @@ def test_valuations_reports_the_failing_family_only(capsys, monkeypatch, label, 
 
 def test_valuations_first_mismatch_per_family(capsys, monkeypatch):
     # each family reports its own first bad n, although another family
-    # failed earlier in the same walk over n
+    # failed at a smaller n
     _scale_terms(monkeypatch, [
         (SeqKind.E, 30, 2), (SeqKind.E, 12, 2),
         (SeqKind.F, 7, 2),
@@ -225,16 +226,35 @@ def test_valuations_first_mismatch_per_family(capsys, monkeypatch):
 
 
 def _count_u_seq(monkeypatch):
-    """Record in the returned list the (m, n) of every ``cli.u_seq`` call."""
+    """Record in the returned list the (m, n) of every ``seq.u_seq`` call."""
     calls = []
-    real = cli.u_seq
+    real = seq.u_seq
 
     def counted(m, n):
         calls.append((m, n))
         return real(m, n)
 
-    monkeypatch.setattr(cli, "u_seq", counted)
+    monkeypatch.setattr(seq, "u_seq", counted)
     return calls
+
+
+def test_valuations_takes_no_valuation_when_nothing_fails(capsys, monkeypatch):
+    # the residues decide every n: no whole term is built, and no term or
+    # index goes through the public observed_valuation, from seq or from
+    # the cli had it imported the function
+    terms = _count_u_seq(monkeypatch)
+    valuations = []
+    real = seq.observed_valuation
+
+    def counted(x, prime):
+        valuations.append((x, prime))
+        return real(x, prime)
+
+    for module in (seq, cli):
+        monkeypatch.setattr(module, "observed_valuation", counted, raising=False)
+    assert run(["valuations", "--upto", "3000"]) == 0
+    assert terms == [] and valuations == []
+    capsys.readouterr()
 
 
 def test_valuations_builds_a_whole_term_only_for_a_mismatch(capsys, monkeypatch):
@@ -252,17 +272,8 @@ def test_valuations_builds_a_whole_term_only_for_a_mismatch(capsys, monkeypatch)
     ])
     calls = _count_u_seq(monkeypatch)
     assert run(["valuations", "--upto", "60"]) == 1
-    assert calls == [(SeqKind.F.m, 7), (SeqKind.E.m, 12), (SeqKind.E.m, 50)]
+    assert calls == [(SeqKind.E.m, 12), (SeqKind.F.m, 7), (SeqKind.E.m, 50)]
     capsys.readouterr()
-
-
-# the walk's modulus 6**top, top = upto.bit_length() + 1, is tightest for
-# p = 2 at n = upto = 2**j, where v2(e_n) = j + 1 and the residue must
-# decide whether 2**(j+2) divides the term; 2**j - 1 sits just below it,
-# and 2 * 3**j puts a high power of 3 at n = upto
-_TIGHT_UPTOS = sorted(
-    {2**j - 1 for j in range(2, 12)} | {2**j for j in range(1, 12)} | {2 * 3**j for j in range(7)}
-)
 
 
 @pytest.mark.parametrize("upto", _TIGHT_UPTOS)

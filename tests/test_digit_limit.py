@@ -15,7 +15,8 @@ from critgraph.critgroup import AbelianGroup, closed_form_group, verify_reductio
 from critgraph.exactla import IntegerMatrix, _clip, determinantal_divisor
 from critgraph.graph import Multigraph, c4xcn, cycle
 from critgraph.seq import (
-    SeqKind, derived_seq, observed_valuation, predicted_valuation, u_seq, v_partial_sum,
+    SeqKind, derived_seq, first_valuation_mismatch, observed_valuation, predicted_valuation, u_seq,
+    v_partial_sum,
 )
 from critgraph.treecount import trig_product_check
 
@@ -45,6 +46,8 @@ SITES = {
     "observed-valuation": (ValueError, lambda x: observed_valuation(3, -abs(x))),
     "predicted-valuation-prime": (ValueError, lambda x: predicted_valuation(SeqKind.E, x, 3)),
     "predicted-valuation-index": (ValueError, lambda x: predicted_valuation(SeqKind.E, 2, -abs(x))),
+    "first-valuation-mismatch-prime": (ValueError, lambda x: first_valuation_mismatch(SeqKind.E, x, 3)),
+    "first-valuation-mismatch-upto": (ValueError, lambda x: first_valuation_mismatch(SeqKind.E, 2, -abs(x))),
     "determinantal-divisor": (ValueError, lambda x: determinantal_divisor(IntegerMatrix([[1]]), x)),
     "exact-div": (ArithmeticError, lambda x: critgroup._exact_div(x + 1, 2)),
     "trig-tolerance": (ValueError, lambda x: trig_product_check(5, x)),

@@ -2,9 +2,11 @@ import tracemalloc
 
 import pytest
 
+from critgraph import seq
 from critgraph.seq import (
     SeqKind,
     derived_seq,
+    first_valuation_mismatch,
     observed_valuation,
     parity_split,
     predicted_valuation,
@@ -193,6 +195,67 @@ def test_predictions_hold_at_index_one():
     for kind in (SeqKind.E, SeqKind.F):
         for prime in (2, 3):
             assert predicted_valuation(kind, prime, 1) == 0
+
+
+_FAMILIES = [(SeqKind.E, 2), (SeqKind.F, 2), (SeqKind.E, 3), (SeqKind.F, 3)]
+
+# a family's modulus prime**top, top = upto.bit_length() + 1, is tightest for
+# p = 2 at n = upto = 2**j, where v2(e_n) = j + 1 and the residue must
+# decide whether 2**(j+2) divides the term; 2**j - 1 sits just below it,
+# and 2 * 3**j puts a high power of 3 at n = upto
+_TIGHT_UPTOS = sorted(
+    {2**j - 1 for j in range(2, 12)} | {2**j for j in range(1, 12)} | {2 * 3**j for j in range(7)}
+)
+
+
+def _brute_first_mismatch(kind, prime, terms):
+    """The first (n, predicted, observed) over the exact terms[1:], or None."""
+    for n in range(1, len(terms)):
+        predicted, observed = predicted_valuation(kind, prime, n), observed_valuation(terms[n], prime)
+        if predicted != observed:
+            return n, predicted, observed
+    return None
+
+
+@pytest.mark.parametrize("kind, prime", _FAMILIES)
+def test_first_valuation_mismatch_equals_the_brute_force(monkeypatch, kind, prime):
+    real_walk, real_u_seq = seq._walk, seq.u_seq
+    # two more factors of ``prime`` in the term at n = 18, and one more at the tight n = upto
+    tight = [2**j for j in range(1, 12)] + [2 * 3**j for j in range(7)]
+    for at, upto, factor in [(18, 40, prime**2)] + [(n, n, prime) for n in tight]:
+        terms = u_prefix(kind.m, upto + 1)
+        terms[at] *= factor
+        expected = _brute_first_mismatch(kind, prime, terms)
+        assert expected is not None
+
+        def scale(m, n, term):
+            return term * factor if (m, n) == (kind.m, at) else term
+
+        def scaled_walk(m, a, b, count, modulus=None):
+            for n, term in enumerate(real_walk(m, a, b, count, modulus)):
+                yield scale(m, n, term)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(seq, "_walk", scaled_walk)
+            patch.setattr(seq, "u_seq", lambda m, n: scale(m, n, real_u_seq(m, n)))
+            assert first_valuation_mismatch(kind, prime, upto) == expected, (at, upto)
+
+
+@pytest.mark.parametrize("upto", _TIGHT_UPTOS)
+def test_first_valuation_mismatch_finds_none_at_the_tightest_modulus(upto):
+    for kind, prime in _FAMILIES:
+        assert first_valuation_mismatch(kind, prime, upto) is None, (kind, prime)
+
+
+def test_first_valuation_mismatch_rejections():
+    with pytest.raises(ValueError, match="kinds E and F only"):
+        first_valuation_mismatch(SeqKind.H, 2, 10)
+    with pytest.raises(ValueError, match="primes 2 and 3"):
+        first_valuation_mismatch(SeqKind.E, 5, 10)
+    with pytest.raises(ValueError):
+        first_valuation_mismatch(SeqKind.E, 2, -1)
+    with pytest.raises(TypeError):
+        first_valuation_mismatch(SeqKind.E, 2, 10.0)
 
 
 def _linear(m, first, second, count):
