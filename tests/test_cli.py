@@ -21,6 +21,7 @@ from critgraph.exactla import _clip
 from critgraph.seq import (
     SeqKind, derived_seq, observed_valuation, predicted_valuation, u_prefix, u_seq, v_seq,
 )
+import golden.regen
 from test_seq import _TIGHT_UPTOS
 
 
@@ -1115,3 +1116,16 @@ def test_bad_tolerance_is_rejected_before_the_count(
     assert err == (
         f"critgraph: error: relative tolerance must be positive and finite, got {float(tolerance)}\n"
     )
+
+
+_TRANSCRIPTS = json.loads(golden.regen.CLI_JSON.read_text())
+
+
+@pytest.mark.parametrize("entry", _TRANSCRIPTS, ids=[" ".join(e["argv"]) for e in _TRANSCRIPTS])
+def test_cli_transcript(entry):
+    # output unchanged from the recording; an intended change is recorded again
+    # with tests/golden/regen.py ARGV..., and named in CHANGES.md with the reason
+    limit = golden.regen.digit_limit()
+    if limit != golden.regen.DIGIT_LIMIT:
+        pytest.skip(f"recorded at the digit limit {golden.regen.DIGIT_LIMIT}, this run has {limit}")
+    assert golden.regen.record(entry["argv"]) == entry

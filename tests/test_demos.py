@@ -9,6 +9,7 @@ import critgraph
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden" / "demos"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -22,6 +23,8 @@ def test_demo_runs_clean(demo):
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     assert "[FAIL]" not in done.stdout
+    # recorded with: python demos/NAME.py > tests/golden/demos/NAME.txt
+    assert done.stdout == (GOLDEN / f"{demo.stem}.txt").read_text()
 
 
 def test_export_list_names_each_package_binding_once():
