@@ -14,7 +14,6 @@ from .exactla import (
     det,
     det_bareiss,
     determinantal_divisor,
-    format_matrix,
     invariant_factors_from_divisors,
     is_unimodular,
     parse_matrix,
@@ -85,7 +84,6 @@ __all__ = [
     "determinantal_divisor",
     "factorwise_subgroup",
     "format_group",
-    "format_matrix",
     "group_of_graph",
     "group_via_relations",
     "invariant_factors_from_divisors",

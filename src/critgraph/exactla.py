@@ -65,15 +65,6 @@ class IntegerMatrix:
     def identity(cls, n: int) -> "IntegerMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
-    def diagonal(cls, entries: Sequence[int]) -> "IntegerMatrix":
-        n = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
     @property
     def row_count(self) -> int:
         return len(self._rows)
@@ -93,12 +84,6 @@ class IntegerMatrix:
     def to_lists(self) -> list[list[int]]:
         """Deep copy of the entries as plain lists."""
         return [row[:] for row in self._rows]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return tuple(self._rows[i])
-
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(zip(*self._rows))
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "IntegerMatrix":
         return IntegerMatrix([[self._rows[i][j] for j in cols] for i in rows])
@@ -133,9 +118,6 @@ class IntegerMatrix:
             if exponent:
                 base = base @ base
         return result
-
-    def __neg__(self) -> "IntegerMatrix":
-        return IntegerMatrix([[-x for x in row] for row in self._rows])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntegerMatrix):
@@ -676,10 +658,3 @@ def parse_matrix(text: str) -> IntegerMatrix:
         _read_int(tok, lambda: f"row {k // nc + 1}, column {k % nc + 1}") for k, tok in enumerate(body)
     ]
     return IntegerMatrix([values[i * nc : (i + 1) * nc] for i in range(nr)])
-
-
-def format_matrix(a: IntegerMatrix) -> str:
-    """Inverse of :func:`parse_matrix`."""
-    lines = [f"{a.row_count} {a.col_count}"]
-    lines.extend(" ".join(str(x) for x in a.row(i)) for i in range(a.row_count))
-    return "\n".join(lines) + "\n"

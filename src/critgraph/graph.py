@@ -52,19 +52,6 @@ class Multigraph:
     def edge_multiplicities(self) -> dict[tuple[int, int], int]:
         return dict(self._edges)
 
-    @property
-    def edge_count(self) -> int:
-        """Number of edges counted with multiplicity."""
-        return sum(self._edges.values())
-
-    def multiplicity(self, u: int, v: int) -> int:
-        if u == v:
-            return 0
-        return self._edges.get(_edge_key(u, v), 0)
-
-    def degree(self, u: int) -> int:
-        return sum(m for (a, b), m in self._edges.items() if u in (a, b))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Multigraph):
             return NotImplemented

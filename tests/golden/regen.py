@@ -68,11 +68,6 @@ def record(argv: list[str]) -> dict:
     return entry
 
 
-def write(entries: list[dict]) -> None:
-    """One entry per line, so that a regenerated entry is one changed line."""
-    CLI_JSON.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
-
-
 def main(argv: list[str]) -> int:
     if not argv:
         print("usage: python tests/golden/regen.py ARGV...", file=sys.stderr)
@@ -90,7 +85,8 @@ def main(argv: list[str]) -> int:
     else:
         print("added", file=sys.stderr)
         entries.append(entry)
-    write(entries)
+    # one entry per line, so that an entry recorded again is one changed line
+    CLI_JSON.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
     return 0
 
 

@@ -648,7 +648,9 @@ def test_pipeline_rank_one_split_names_the_first_nonzero_line_sum(monkeypatch):
 
 
 def test_pipeline_records_a_non_unimodular_fixture(monkeypatch):
-    monkeypatch.setitem(critgroup._FIXTURES, "U", IntegerMatrix.diagonal([2] + [1] * 6))
+    rows = IntegerMatrix.identity(7).to_lists()
+    rows[0][0] = 2
+    monkeypatch.setitem(critgroup._FIXTURES, "U", IntegerMatrix(rows))
     critgroup._non_unimodular_fixtures.cache_clear()
     try:
         report = verify_reduction_pipeline(5)

@@ -15,7 +15,6 @@ from critgraph.exactla import (
     det,
     det_bareiss,
     determinantal_divisor,
-    format_matrix,
     invariant_factors_from_divisors,
     is_unimodular,
     parse_matrix,
@@ -68,9 +67,7 @@ def test_matrix_algebra():
     a = IntegerMatrix([[1, 2], [3, 4]])
     b = IntegerMatrix([[0, 1], [1, 0]])
     assert a @ b == IntegerMatrix([[2, 1], [4, 3]])
-    assert a.transpose() == IntegerMatrix([[1, 3], [2, 4]])
     assert b ** 2 == IntegerMatrix.identity(2)
-    assert (-a) == IntegerMatrix([[-1, -2], [-3, -4]])
     assert a.delete_row_col(0, 1) == IntegerMatrix([[3]])
     with pytest.raises(ValueError):
         a @ IntegerMatrix([[1, 2, 3]])
@@ -108,7 +105,7 @@ def test_det_bareiss_against_cofactor_oracle():
 
 
 def test_snf_examples():
-    assert snf(IntegerMatrix.diagonal([4, 6])).diagonal == (2, 12)
+    assert snf(IntegerMatrix([[4, 0], [0, 6]])).diagonal == (2, 12)
     assert snf(laplacian(cycle(3))).diagonal == (1, 3, 0)
     # 20-vertex prism: fifteen 1s, the four nontrivial factors, one zero
     diag = snf(laplacian(c4xcn(5))).diagonal
@@ -118,7 +115,7 @@ def test_snf_examples():
 def test_snf_rectangular_and_zero():
     assert snf(IntegerMatrix([[0, 2], [3, 0]])).diagonal == (1, 6)
     assert snf(IntegerMatrix([[2, 4, 6]])).diagonal == (2,)
-    assert snf(IntegerMatrix.zeros(3, 2)).diagonal == (0, 0)
+    assert snf(IntegerMatrix([[0, 0], [0, 0], [0, 0]])).diagonal == (0, 0)
 
 
 def test_determinantal_divisor_examples():
@@ -129,7 +126,7 @@ def test_determinantal_divisor_examples():
         for cols in itertools.combinations(range(3), 2):
             assert abs(det_bareiss(lap3.submatrix(rows, cols))) == 3
     assert determinantal_divisor(IntegerMatrix.identity(4), 3) == 1
-    assert determinantal_divisor(IntegerMatrix.zeros(3, 3), 1) == 0
+    assert determinantal_divisor(IntegerMatrix([[0, 0, 0]] * 3), 1) == 0
     with pytest.raises(ValueError):
         determinantal_divisor(lap3, 4)
     with pytest.raises(ValueError):
@@ -137,14 +134,14 @@ def test_determinantal_divisor_examples():
 
 
 def test_invariant_factors_from_divisors_examples():
-    assert invariant_factors_from_divisors(IntegerMatrix.diagonal([2, 6])) == (2, 6)
+    assert invariant_factors_from_divisors(IntegerMatrix([[2, 0], [0, 6]])) == (2, 6)
     assert invariant_factors_from_divisors(laplacian(cycle(4))) == (1, 1, 4, 0)
     assert invariant_factors_from_divisors(IntegerMatrix([[0, 2], [3, 0]])) == (1, 6)
 
 
 def test_is_unimodular():
     assert is_unimodular(IntegerMatrix.identity(5))
-    assert not is_unimodular(IntegerMatrix.diagonal([2, 1]))
+    assert not is_unimodular(IntegerMatrix([[2, 0], [0, 1]]))
     assert is_unimodular(IntegerMatrix([[2, 1], [1, 1]]))
     with pytest.raises(ValueError):
         is_unimodular(IntegerMatrix([[1, 2]]))
@@ -325,8 +322,8 @@ def test_sparse_matrix_round_trip_and_entry_points():
         a = _unit_heavy_matrix(rng, rng.randint(1, 9), rng.randint(1, 9))
         s = SparseMatrix.from_dense(a)
         assert (s.row_count, s.col_count, s.is_square) == (a.row_count, a.col_count, a.is_square)
-        assert all(s.rows[i] == {j: x for j, x in enumerate(a.row(i)) if x}
-                   for i in range(a.row_count))
+        assert all(s.rows[i] == {j: x for j, x in enumerate(row) if x}
+                   for i, row in enumerate(a.to_lists()))
         assert s.to_dense() == a
         assert snf(s) == snf(a), a
         assert snf(s, want_transforms=True) == snf(a, want_transforms=True), a
@@ -583,11 +580,9 @@ def test_snf_transforms_are_pinned(a, left, right):
     assert res.left_transform @ a @ res.right_transform == _rect_diag(res.diagonal, a.row_count, a.col_count)
 
 
-def test_matrix_text_round_trip():
+def test_parse_matrix_examples():
     m = IntegerMatrix([[4, 0], [0, 6]])
-    text = format_matrix(m)
-    assert text.splitlines()[0] == "2 2"
-    assert parse_matrix(text) == m
+    assert parse_matrix("2 2\n4 0\n0 6\n") == m
     assert parse_matrix("2 2\n4 0 0 6") == m
 
 
