@@ -76,6 +76,13 @@ MAX_SEQ_BITS = 24_576
 # linear in it, and is checked before the walk.
 MAX_VALUATIONS_UPTO = 200_000
 
+# Largest input file of ``snf --matrix`` and ``graph-group --edges``, in
+# characters; one more is read, so a larger file or /dev/zero stops there.
+# The complete graph on MAX_GRAPH_VERTICES vertices is a 3.7 MiB edge list.
+# At the cap, one-digit tokens peak at 166 MiB in parse_matrix and 120 MiB
+# in parse_edge_list (tracemalloc).
+MAX_INPUT_CHARS = 8 * 2**20
+
 
 class _UsageError(Exception):
     pass
@@ -290,12 +297,15 @@ def _cmd_subgroup(args: argparse.Namespace) -> int:
 def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
-            return handle.read()
+            text = handle.read(MAX_INPUT_CHARS + 1)
     except OSError as exc:
         # str(exc) repeats the path; the cause alone is named
         raise _UsageError(f"cannot read {_clip(path)}: {exc.strerror or type(exc).__name__}") from exc
     except UnicodeDecodeError as exc:
         raise _UsageError(f"cannot read {_clip(path)}: not UTF-8 text") from exc
+    if len(text) > MAX_INPUT_CHARS:
+        raise _UsageError(f"cannot read {_clip(path)}: more than {MAX_INPUT_CHARS} characters")
+    return text
 
 
 def _cmd_snf(args: argparse.Namespace) -> int:

@@ -9,6 +9,12 @@ argv, or appends one.  No other entry is rewritten.
 ``tests/test_cli.py::test_cli_transcript`` replays every entry through
 :func:`record` and compares.
 
+    python tests/golden/regen.py --check COMMAND...
+
+replays every entry through ``COMMAND... ARGV...`` as a subprocess in
+``inputs/``, for example the installed console script (``--check
+critgraph``), and exits 1 naming each entry that differs.
+
 An entry keeps stdout in full up to ``STDOUT_INLINE_BYTES`` and its
 SHA-256 and length above that.  The elapsed time of ``verify`` is masked
 in stderr.  A usage error that argparse writes itself keeps only the
@@ -25,6 +31,8 @@ import io
 import json
 import os
 import re
+import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -53,7 +61,11 @@ def record(argv: list[str]) -> dict:
             status = cli.run(argv)
     finally:
         os.chdir(cwd)
-    stdout, stderr = out.getvalue(), err.getvalue()
+    return to_entry(argv, status, out.getvalue(), err.getvalue())
+
+
+def to_entry(argv: list[str], status: int, stdout: str, stderr: str) -> dict:
+    """The ``cli.json`` entry of one run: stdout inlined or hashed, stderr masked."""
     entry: dict = {"argv": argv, "status": status}
     raw = stdout.encode()
     if len(raw) <= STDOUT_INLINE_BYTES:
@@ -68,13 +80,28 @@ def record(argv: list[str]) -> dict:
     return entry
 
 
+def check(command: list[str]) -> int:
+    """Replay every entry through ``command`` as a subprocess; 1 if any differs."""
+    entries = json.loads(CLI_JSON.read_text())
+    failed = 0
+    for old in entries:
+        proc = subprocess.run([*command, *old["argv"]], cwd=INPUTS, capture_output=True)
+        if to_entry(old["argv"], proc.returncode, proc.stdout.decode(), proc.stderr.decode()) != old:
+            print("differs:", shlex.join(old["argv"]), file=sys.stderr)
+            failed += 1
+    print(f"{len(entries) - failed} of {len(entries)} entries match", file=sys.stderr)
+    return 1 if failed else 0
+
+
 def main(argv: list[str]) -> int:
-    if not argv:
-        print("usage: python tests/golden/regen.py ARGV...", file=sys.stderr)
+    if not argv or argv == ["--check"]:
+        print("usage: python tests/golden/regen.py ARGV... | --check COMMAND...", file=sys.stderr)
         return 2
     if digit_limit() != DIGIT_LIMIT:
         print(f"record at the default digit limit {DIGIT_LIMIT}, not {digit_limit()}", file=sys.stderr)
         return 2
+    if argv[0] == "--check":
+        return check(argv[1:])
     entries = json.loads(CLI_JSON.read_text()) if CLI_JSON.exists() else []
     entry = record(argv)
     for i, old in enumerate(entries):

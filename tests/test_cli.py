@@ -377,6 +377,25 @@ def test_input_file_with_a_byte_order_mark_parses(tmp_path, capsys, json_flag, c
     assert outputs[1] == outputs[0]
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("command, option, text", [
+    ("snf", "--matrix", "2 2\n4 0\n0 6\n"),
+    ("graph-group", "--edges", "0 1\n1 2\n2 3\n3 0\n"),
+], ids=["snf", "graph-group"])
+def test_input_file_over_the_size_cap_exits_2(tmp_path, capsys, monkeypatch, json_flag, command, option, text):
+    # the file is read up to the cap plus one character, so /dev/zero ends there too
+    monkeypatch.setattr(cli, "MAX_INPUT_CHARS", len(text))
+    path = tmp_path / "at-cap.txt"
+    path.write_text(text)
+    assert run([command, option, str(path), *json_flag]) == 0
+    capsys.readouterr()
+    path.write_text(text + "\n")
+    assert run([command, option, str(path), *json_flag]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"critgraph: error: cannot read {_clip(str(path))}: more than {len(text)} characters\n"
+
+
 def test_graph_group_file(tmp_path, capsys):
     path = tmp_path / "g.txt"
     lines = []
