@@ -117,11 +117,8 @@ def _emit_group(args: argparse.Namespace, group, **fields: str) -> int:
         "order": order,
         **fields,
     }
-    if factors:
-        lines = ["invariant factors: " + " ".join(factors), f"order: {order}"]
-    else:
-        lines = ["trivial group", "order: 1"]
-    _emit(payload, args, lines)
+    head = "invariant factors: " + " ".join(factors) if factors else "trivial group"
+    _emit(payload, args, [head, f"order: {order}"])
     return 0
 
 
@@ -297,15 +294,19 @@ def _cmd_subgroup(args: argparse.Namespace) -> int:
 def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
-            text = handle.read(MAX_INPUT_CHARS + 1)
+            # 64 KiB at a time: one read of the cap would allocate a buffer its size
+            chunks, left = [], MAX_INPUT_CHARS + 1
+            while left and (chunk := handle.read(min(left, 2**16))):
+                chunks.append(chunk)
+                left -= len(chunk)
     except OSError as exc:
         # str(exc) repeats the path; the cause alone is named
         raise _UsageError(f"cannot read {_clip(path)}: {exc.strerror or type(exc).__name__}") from exc
     except UnicodeDecodeError as exc:
         raise _UsageError(f"cannot read {_clip(path)}: not UTF-8 text") from exc
-    if len(text) > MAX_INPUT_CHARS:
+    if not left:
         raise _UsageError(f"cannot read {_clip(path)}: more than {MAX_INPUT_CHARS} characters")
-    return text
+    return "".join(chunks)
 
 
 def _cmd_snf(args: argparse.Namespace) -> int:
@@ -336,7 +337,7 @@ def _verify_single(n: int, pipeline: bool) -> tuple[int, bool, str]:
             f"disagreement: closed {closed.invariant_factors}, "
             f"relations {relations.invariant_factors}, laplacian {full.invariant_factors}"
         )
-    detail = "closed = relations = laplacian: " + (str(closed) if closed.invariant_factors else "trivial")
+    detail = f"closed = relations = laplacian: {closed}"
     if pipeline:
         report = verify_reduction_pipeline(n)
         if not report.all_passed:

@@ -10,12 +10,12 @@ The four derived sequences used by the C4 x Cn critical-group formulas are
     e_n = u_n(2),  f_n = u_n(4),  h_n = e_n + e_{n+1},  g_n = f_n + f_{n+1}.
 
 u_n(m) is the Lucas sequence U_n(P = m+2, Q = 1) and v_n(m) its companion
-V_n.  Two mechanisms compute every term: single terms come from one
-fast-doubling pass over the bits of the index (O(log n) big-integer
-products), and tables from one walk of the recurrence.  The walk runs over
-ints, over exact decimals for printing (the string of a decimal takes time
-linear in its digits, that of an int quadratic time), or over residues for
-the valuations.
+V_n.  Each sequence is defined once, by its seeds (m, x_0, x_1): a single
+term is read off them by one fast-doubling pass over the bits of the index
+(O(log n) big-integer products), and a table walks the recurrence from them.
+The walk runs over ints, over exact decimals for printing (the string of a
+decimal takes time linear in its digits, that of an int quadratic time), or
+over residues for the valuations.
 
 Everything here is exact; no floating point, no closed-form surds.  The
 module also predicts the exact 2-adic and 3-adic valuations of e_n and
@@ -43,12 +43,7 @@ class SeqKind(Enum):
 
     @property
     def m(self) -> int:
-        return 2 if self in (SeqKind.E, SeqKind.H) else 4
-
-    @property
-    def summed(self) -> bool:
-        """True for h and g, the sums of two consecutive u terms."""
-        return self in (SeqKind.H, SeqKind.G)
+        return _start(self.value)[0]
 
 
 def _check_m(m: int) -> None:
@@ -96,33 +91,38 @@ def _walk(m, a, b, count: int, modulus: Optional[int] = None) -> Iterator:
             b %= modulus
 
 
+_DERIVED_SEEDS = {"e": (2, 0, 1), "f": (4, 0, 1), "h": (2, 1, 5), "g": (4, 1, 7)}
+
+
 def _start(kind: str, m: Optional[int] = None) -> tuple[int, int, int]:
-    """(m, x_0, x_1) of the walk of table ``kind``: 'u' or 'v' with the
-    parameter m, or 'e', 'f', 'h' or 'g' with the kind's own m.  h and g
-    obey the recurrence of e and f, from x_0 = u_0 + u_1 = 1 and
-    x_1 = u_1 + u_2 = m + 3."""
+    """(m, x_0, x_1) of table ``kind``, the one definition of each sequence:
+    'u' or 'v' with the parameter m, or 'e', 'f', 'h' or 'g' with the kind's
+    own m.  e and f are u at m = 2 and 4; h and g obey their recurrence from
+    x_0 = u_0 + u_1 = 1 and x_1 = u_1 + u_2 = m + 3."""
     if kind in ("u", "v"):
         _check_m(m)
         return (m, 0, 1) if kind == "u" else (m, 2, m + 2)
-    derived = SeqKind(kind)
-    return (derived.m, 1, derived.m + 3) if derived.summed else (derived.m, 0, 1)
+    return _DERIVED_SEEDS[kind]
+
+
+def _term(m: int, x0: int, x1: int, p: int) -> int:
+    """Term p of the walk from the seeds (m, x_0, x_1) by one fast-doubling
+    pass: x_p = x_1 u_p - x_0 u_{p-1}, and u_{p-1} = (m+2)u_p - u_{p+1}."""
+    _check_index(p)
+    u, u_next = _u_pair(m, p)
+    return (x1 - (m + 2) * x0) * u + x0 * u_next
 
 
 def u_seq(m: int, p: int) -> int:
     """p-th term of the first-kind sequence: u_0=0, u_1=1,
     u_p = (m+2)u_{p-1} - u_{p-2}."""
-    _check_m(m)
-    _check_index(p)
-    return _u_pair(m, p)[0]
+    return _term(*_start("u", m), p)
 
 
 def v_seq(m: int, p: int) -> int:
     """p-th term of the second-kind sequence: v_0=2, v_1=m+2, same
-    recurrence as :func:`u_seq`; v_p = 2 u_{p+1} - (m+2) u_p."""
-    _check_m(m)
-    _check_index(p)
-    u, u_next = _u_pair(m, p)
-    return 2 * u_next - (m + 2) * u
+    recurrence as :func:`u_seq`."""
+    return _term(*_start("v", m), p)
 
 
 def u_prefix(m: int, count: int) -> list[int]:
@@ -138,9 +138,7 @@ def v_prefix(m: int, count: int) -> list[int]:
 def derived_seq(kind: SeqKind, n: int) -> int:
     """e_n, f_n, h_n, or g_n."""
     _check_kind(kind)
-    _check_index(n)
-    u, u_next = _u_pair(kind.m, n)
-    return u + u_next if kind.summed else u
+    return _term(*_start(kind.value), n)
 
 
 def table_texts(kind: str, m: Optional[int], count: int) -> list[str]:

@@ -381,7 +381,10 @@ def test_input_file_with_a_byte_order_mark_parses(tmp_path, capsys, json_flag, c
 @pytest.mark.parametrize("command, option, text", [
     ("snf", "--matrix", "2 2\n4 0\n0 6\n"),
     ("graph-group", "--edges", "0 1\n1 2\n2 3\n3 0\n"),
-], ids=["snf", "graph-group"])
+    # files are read 64 KiB at a time: spaces pad these to two chunks exactly and past three
+    ("snf", "--matrix", "2 2\n4 0\n0 6\n".ljust(2**17)),
+    ("graph-group", "--edges", "0 1\n1 2\n2 3\n3 0\n".ljust(2**17 + 3)),
+], ids=["snf", "graph-group", "snf-two-chunks", "graph-group-three-chunks"])
 def test_input_file_over_the_size_cap_exits_2(tmp_path, capsys, monkeypatch, json_flag, command, option, text):
     # the file is read up to the cap plus one character, so /dev/zero ends there too
     monkeypatch.setattr(cli, "MAX_INPUT_CHARS", len(text))
@@ -394,6 +397,20 @@ def test_input_file_over_the_size_cap_exits_2(tmp_path, capsys, monkeypatch, jso
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"critgraph: error: cannot read {_clip(str(path))}: more than {len(text)} characters\n"
+
+
+def test_small_input_file_is_read_without_a_cap_sized_buffer(tmp_path, capsys):
+    # one read of MAX_INPUT_CHARS + 1 characters allocated an 8 MiB buffer for any file
+    path = tmp_path / "triangle.edges"
+    path.write_text("0 1\n1 2\n2 0\n")
+    tracemalloc.start()
+    try:
+        assert run(["graph-group", "--edges", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert capsys.readouterr().out == "invariant factors: 3\norder: 3\n"
 
 
 def test_graph_group_file(tmp_path, capsys):

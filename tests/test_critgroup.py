@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -397,6 +398,10 @@ def test_subgroup_on_divisor_pairs():
     for n1 in range(3, 16):
         for n2 in range(n1 + n1, 31, n1):
             assert subgroup_check(n1, n2), (n1, n2)
+    # and only on them: all 79,003 pairs 3 <= n1 < n2 <= 400
+    groups = {n: closed_form_group(n) for n in range(3, 401)}
+    for n1, n2 in itertools.combinations(groups, 2):
+        assert factorwise_subgroup(groups[n1], groups[n2]) == (n2 % n1 == 0), (n1, n2)
 
 
 # -- layer expansion -------------------------------------------------------

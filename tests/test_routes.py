@@ -47,7 +47,7 @@ _SHARED = {
         _GROUP | _N_CHECK | {"critgroup._exact_div", "seq._u_pair"},
     ("closed-group", "laplacian-group"): _GROUP | _N_CHECK,
     ("closed-group", "closed-count"): _N_CHECK | {
-        "seq.SeqKind.m", "seq.SeqKind.summed", "seq._check_index", "seq._check_kind",
+        "seq._check_index", "seq._check_kind", "seq._start", "seq._term",
         "seq._u_pair", "seq.derived_seq", "seq.parity_split",
     },
     ("closed-group", "matrix-count"): _N_CHECK,
