@@ -84,10 +84,6 @@ MAX_VALUATIONS_UPTO = 200_000
 MAX_INPUT_CHARS = 8 * 2**20
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse's parser, whose own usage errors (an unknown subcommand,
     option or extra argument) echo each token clipped to 80 characters,
@@ -142,7 +138,7 @@ def _float_argument(text: str) -> float:
 def _require_laplacian_size(n: int) -> None:
     # 4n is not printed: its digits can pass the limit of str()
     if 4 * n > MAX_GRAPH_VERTICES:
-        raise _UsageError(
+        raise ValueError(
             f"n = {_clip(n)}: C4 x Cn has 4n vertices; the full-Laplacian route handles "
             f"at most {MAX_GRAPH_VERTICES} vertices (n <= {MAX_GRAPH_VERTICES // 4})"
         )
@@ -150,7 +146,7 @@ def _require_laplacian_size(n: int) -> None:
 
 def _require_n_at_most(n: int, cap: int, route: str, cost: str) -> None:
     if n > cap:
-        raise _UsageError(f"n = {_clip(n)}: the {route} route handles n <= {cap} ({cost})")
+        raise ValueError(f"n = {_clip(n)}: the {route} route handles n <= {cap} ({cost})")
 
 
 def _require_closed_form_size(n: int) -> None:
@@ -175,7 +171,7 @@ def _cmd_treecount(args: argparse.Namespace) -> int:
     n = args.n
     if args.tolerance is not None:
         if args.check not in ("trig", "all"):
-            raise _UsageError("--tolerance only applies to --check trig and all")
+            raise ValueError("--tolerance only applies to --check trig and all")
         _require_tolerance(args.tolerance)  # before the count, which can take long
     if args.check in ("matrix", "all"):
         _require_laplacian_size(n)
@@ -220,16 +216,16 @@ def _cmd_treecount(args: argparse.Namespace) -> int:
 def _cmd_seq(args: argparse.Namespace) -> int:
     kind, upto, m = args.kind, args.upto, args.m
     if upto < 0:
-        raise _UsageError(f"--upto must be >= 0, got {_clip(upto)}")
+        raise ValueError(f"--upto must be >= 0, got {_clip(upto)}")
     if kind in ("u", "v"):
         if m is None:
-            raise _UsageError(f"sequence kind '{kind}' requires --m")
+            raise ValueError(f"sequence kind '{kind}' requires --m")
     elif m is not None:
-        raise _UsageError("--m only applies to kinds 'u' and 'v'")
+        raise ValueError("--m only applies to kinds 'u' and 'v'")
     walk_m = _start(kind, m)[0]  # checks m
     if upto * (walk_m + 2).bit_length() > MAX_SEQ_BITS:
-        raise _UsageError(f"--upto {_clip(upto)} with m = {_clip(walk_m)}: seq prints tables whose --upto"
-                          f" times the bit length of m + 2 is at most {MAX_SEQ_BITS}")
+        raise ValueError(f"--upto {_clip(upto)} with m = {_clip(walk_m)}: seq prints tables whose --upto"
+                         f" times the bit length of m + 2 is at most {MAX_SEQ_BITS}")
     texts = table_texts(kind, m, upto + 1)
     payload = {
         "command": "seq",
@@ -246,9 +242,9 @@ def _cmd_seq(args: argparse.Namespace) -> int:
 def _cmd_valuations(args: argparse.Namespace) -> int:
     upto = args.upto
     if upto < 2:
-        raise _UsageError(f"--upto must be >= 2, got {_clip(upto)}")
+        raise ValueError(f"--upto must be >= 2, got {_clip(upto)}")
     if upto > MAX_VALUATIONS_UPTO:
-        raise _UsageError(f"--upto must be <= {MAX_VALUATIONS_UPTO}, got {_clip(upto)}")
+        raise ValueError(f"--upto must be <= {MAX_VALUATIONS_UPTO}, got {_clip(upto)}")
     families = [("T2(e)", SeqKind.E, 2), ("T2(f)", SeqKind.F, 2),
                 ("T3(e)", SeqKind.E, 3), ("T3(f)", SeqKind.F, 3)]
     checks = []
@@ -301,11 +297,11 @@ def _read_file(path: str) -> str:
                 left -= len(chunk)
     except OSError as exc:
         # str(exc) repeats the path; the cause alone is named
-        raise _UsageError(f"cannot read {_clip(path)}: {exc.strerror or type(exc).__name__}") from exc
+        raise ValueError(f"cannot read {_clip(path)}: {exc.strerror or type(exc).__name__}") from exc
     except UnicodeDecodeError as exc:
-        raise _UsageError(f"cannot read {_clip(path)}: not UTF-8 text") from exc
+        raise ValueError(f"cannot read {_clip(path)}: not UTF-8 text") from exc
     if not left:
-        raise _UsageError(f"cannot read {_clip(path)}: more than {MAX_INPUT_CHARS} characters")
+        raise ValueError(f"cannot read {_clip(path)}: more than {MAX_INPUT_CHARS} characters")
     return "".join(chunks)
 
 
@@ -319,7 +315,7 @@ def _cmd_graph_group(args: argparse.Namespace) -> int:
     graph = parse_edge_list(_read_file(args.edges))
     if graph.vertex_count > MAX_GRAPH_VERTICES:
         # the count is not printed: it can pass the digit limit of str()
-        raise _UsageError(
+        raise ValueError(
             f"graph has more than {MAX_GRAPH_VERTICES} vertices; graph-group handles at most "
             f"{MAX_GRAPH_VERTICES} (core SNF time)"
         )
@@ -349,7 +345,7 @@ def _verify_single(n: int, pipeline: bool) -> tuple[int, bool, str]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.parallelism < 0:
-        raise _UsageError(f"--parallelism must be >= 0, got {_clip(args.parallelism)}")
+        raise ValueError(f"--parallelism must be >= 0, got {_clip(args.parallelism)}")
     lo, hi = _parse_range(args.range)
     _require_laplacian_size(hi)
     ns = list(range(lo, hi + 1))
@@ -387,11 +383,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _parse_range(text: str) -> tuple[int, int]:
     parts = text.split("..")
     if len(parts) != 2:
-        raise _UsageError(f"range must look like A..B, got {_clip(text)!r}")
+        raise ValueError(f"range must look like A..B, got {_clip(text)!r}")
     lo, hi = _read_int(parts[0], "range lower bound"), _read_int(parts[1], "range upper bound")
     _require_c4xcn_n(lo)
     if hi < lo:
-        raise _UsageError(f"empty range {_clip(text)!r}")
+        raise ValueError(f"empty range {_clip(text)!r}")
     return lo, hi
 
 
@@ -461,7 +457,7 @@ def run(argv: list[str]) -> int:
 
     try:
         return args.handler(args)
-    except (_UsageError, ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"critgraph: error: {exc}", file=sys.stderr)
         return 2
 

@@ -471,7 +471,7 @@ def snf(a: IntegerMatrix | SparseMatrix, want_transforms: bool = False) -> SnfRe
     dense engine then runs on the core that is left only: the diagonal is
     the units, then the core's diagonal (zeros, for rank deficiency, at
     the tail).  A matrix with no +-1 entry, such as the 8 x 8 relations
-    matrix for n >= 10, goes to the dense engine whole.  With transforms,
+    matrix for n >= 4, goes to the dense engine whole.  With transforms,
     the dense engine runs on the whole matrix, and ``left_transform @ a @
     right_transform`` is the diagonal; that path is also the oracle the
     pre-pass is tested against.

@@ -300,7 +300,7 @@ def test_valuations_upto_is_capped(capsys):
     assert time.monotonic() - start < 60
     assert capsys.readouterr().out.splitlines()[0] == f"T2(e): ok (n=2..{MAX_VALUATIONS_UPTO} all match)"
     over = str(MAX_VALUATIONS_UPTO + 1)
-    for upto, got in ((over, over), ("9" * 4300, "9" * 77 + "...")):
+    for upto, got in ((over, over), (_at_digit_limit(), "9" * 77 + "...")):
         for json_flag in ([], ["--json"]):
             assert run(["valuations", "--upto", upto, *json_flag]) == 2
             out, err = capsys.readouterr()
@@ -466,7 +466,7 @@ def test_graph_group_rejects_a_line_of_multiplicity_below_one(tmp_path, capsys, 
 
 
 def _over_digit_limit():
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    limit = golden.regen.digit_limit()
     if not limit:
         pytest.skip("the interpreter has no digit limit on integer strings")
     return limit, "7" * (limit + 700)
@@ -583,7 +583,7 @@ def test_bad_token_is_echoed_clipped(capsys, json_flag, argv, prefix):
 
 def _at_digit_limit():
     # the longest integer the reader accepts; 4n, or one plus an id, has one digit more
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    limit = golden.regen.digit_limit()
     return "9" * (limit or 4300)
 
 
@@ -847,7 +847,7 @@ def test_out_of_range_arguments_exit_two(capsys, argv, message):
     assert captured.err == f"critgraph: error: {message}\n"
 
 
-_NEGATIVE = "-" + "9" * 4300
+_NEGATIVE = "-" + _at_digit_limit()
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
@@ -992,7 +992,7 @@ def test_import_leaves_decimal_unloaded():
 def _strings(values):
     """str() of each int, with the interpreter's digit limit lifted for the
     call and restored after it."""
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    limit = golden.regen.digit_limit()
     if limit:
         sys.set_int_max_str_digits(0)
     try:
@@ -1011,7 +1011,7 @@ def _table(kind, m, count):
 
 
 # the interpreter's limit on the digits of str(int), or its default where it has none
-_DIGIT_LIMIT = (sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0) or 4300
+_DIGIT_LIMIT = golden.regen.digit_limit() or 4300
 
 
 def _over_the_seq_bound(upto, m):

@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-import sys
 import tracemalloc
 
 import pytest
@@ -44,6 +43,7 @@ from critgraph.exactla import (
 from critgraph.graph import Multigraph, c4xcn, cycle, laplacian
 from critgraph.seq import parity_split
 from critgraph.treecount import tree_count_closed, tree_count_matrix
+import golden.regen
 
 
 # -- AbelianGroup ----------------------------------------------------------
@@ -622,7 +622,7 @@ def test_pipeline_records_an_inexact_descale(monkeypatch):
         raise ArithmeticError("inexact division 3 / 2")
 
     # an operand str() refuses is named by its bit length, and still recorded
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    limit = golden.regen.digit_limit()
     big = 10 ** (limit + 1)
 
     def inexact_big(stage):

@@ -6,7 +6,6 @@ the interpreter's digit limit, so these tests hold at any setting of it
 
 import argparse
 import math
-import sys
 
 import pytest
 
@@ -19,8 +18,9 @@ from critgraph.seq import (
     v_partial_sum,
 )
 from critgraph.treecount import trig_product_check
+import golden.regen
 
-LIMIT = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+LIMIT = golden.regen.digit_limit()
 BIG = 10 ** (LIMIT + 1)
 
 
@@ -51,14 +51,14 @@ SITES = {
     "determinantal-divisor": (ValueError, lambda x: determinantal_divisor(IntegerMatrix([[1]]), x)),
     "exact-div": (ArithmeticError, lambda x: critgroup._exact_div(x + 1, 2)),
     "trig-tolerance": (ValueError, lambda x: trig_product_check(5, x)),
-    "cli-laplacian-size": (cli._UsageError, lambda x: cli._require_laplacian_size(abs(x))),
-    "cli-seq-upto": (cli._UsageError, lambda x: cli._cmd_seq(_namespace(kind="e", upto=-abs(x), m=None))),
-    "cli-seq-bound": (cli._UsageError, lambda x: cli._cmd_seq(_namespace(kind="u", upto=abs(x), m=abs(x)))),
-    "cli-closed-form-size": (cli._UsageError, lambda x: cli._require_closed_form_size(abs(x))),
-    "cli-valuations-low": (cli._UsageError, lambda x: cli._cmd_valuations(_namespace(upto=-abs(x)))),
-    "cli-valuations-high": (cli._UsageError, lambda x: cli._cmd_valuations(_namespace(upto=abs(x)))),
+    "cli-laplacian-size": (ValueError, lambda x: cli._require_laplacian_size(abs(x))),
+    "cli-seq-upto": (ValueError, lambda x: cli._cmd_seq(_namespace(kind="e", upto=-abs(x), m=None))),
+    "cli-seq-bound": (ValueError, lambda x: cli._cmd_seq(_namespace(kind="u", upto=abs(x), m=abs(x)))),
+    "cli-closed-form-size": (ValueError, lambda x: cli._require_closed_form_size(abs(x))),
+    "cli-valuations-low": (ValueError, lambda x: cli._cmd_valuations(_namespace(upto=-abs(x)))),
+    "cli-valuations-high": (ValueError, lambda x: cli._cmd_valuations(_namespace(upto=abs(x)))),
     "cli-parallelism": (
-        cli._UsageError,
+        ValueError,
         lambda x: cli._cmd_verify(_namespace(parallelism=-abs(x), range="3..4", pipeline=False)),
     ),
 }

@@ -39,6 +39,15 @@ def test_multigraph_validation():
     assert g.edge_multiplicities[(0, 1)] == 2
 
 
+def test_multigraph_is_a_value():
+    # the same pairs, given in another order and orientation
+    a, b = Multigraph(3, {(0, 1): 2, (1, 2): 1}), Multigraph(3, {(2, 1): 1, (1, 0): 2})
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != Multigraph(3, {(0, 1): 1, (1, 2): 1})
+    assert (Multigraph(1) == [[1]]) is False
+    assert repr(a) == "Multigraph(vertex_count=3, edges=2 pairs)"
+
+
 @pytest.mark.parametrize(
     "count, edges",
     [

@@ -95,15 +95,6 @@ def test_partial_sum_holds_no_table():
     assert w * u_seq(1, 300) == u_seq(1, 60000)
 
 
-def test_factorization_identity():
-    # u_{pq}(m) = v_partial_sum(m, p, q) * u_p(m)
-    for m in range(1, 7):
-        us = u_prefix(m, 65)
-        for p in range(1, 65):
-            for q in range(1, 64 // p + 1):
-                assert us[p * q] == v_partial_sum(m, p, q) * us[p]
-
-
 def test_composition_identity():
     # u_{pq} = v_{p(q-1)} u_p + u_{p(q-2)} for q >= 2
     for m in range(1, 7):
@@ -112,17 +103,6 @@ def test_composition_identity():
         for p in range(0, 33):
             for q in range(2, (64 // p if p else 32) + 1):
                 assert us[p * q] == vs[p * (q - 1)] * us[p] + us[p * (q - 2)]
-
-
-def test_congruences():
-    for m in (2, 3, 4, 5):
-        a, b = 0, 1
-        c, d = 2, m + 2
-        for p in range(200):
-            assert a % m == p % m
-            assert c % m == 2 % m
-            a, b = b, (m + 2) * b - a
-            c, d = d, (m + 2) * d - c
 
 
 def test_doubling_identity():
