@@ -15,14 +15,12 @@ from critgraph import (
     group_via_relations,
     relations_matrix,
     subgroup_check,
-    verify_layer_expansion,
     verify_reduction_pipeline,
 )
 
 print("Layer-expansion coefficients (a_i, b_i, c_i):")
 for i in range(7):
     print(f"  i={i}: {coeffs(i)}")
-print("symbolic propagation check for n=9:", verify_layer_expansion(9))
 
 print("\nThe 8x8 relations matrix for n=5:")
 print(relations_matrix(5))

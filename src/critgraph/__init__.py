@@ -52,7 +52,6 @@ from .critgroup import (
     group_via_relations,
     relations_matrix,
     subgroup_check,
-    verify_layer_expansion,
     verify_reduction_pipeline,
 )
 from .treecount import (
@@ -106,7 +105,6 @@ __all__ = [
     "v_partial_sum",
     "v_prefix",
     "v_seq",
-    "verify_layer_expansion",
     "verify_reduction_pipeline",
 ]
 

@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .exactla import IntegerMatrix, _clip, is_unimodular, snf
 from .graph import Multigraph, _require_c4xcn_n, sparse_laplacian
-from .seq import SeqKind, _start, _u_pair, _walk, parity_split, u_seq
+from .seq import SeqKind, _u_pair, _walk, parity_split, u_seq
 
 _E_M, _F_M = SeqKind.E.m, SeqKind.F.m  # e and f are u at these m
 
@@ -240,30 +240,6 @@ def factorwise_subgroup(g1: AbelianGroup, g2: AbelianGroup) -> bool:
     groups the caller already has."""
     f1, f2 = g1.invariant_factors, g2.invariant_factors
     return len(f1) <= len(f2) and all(b % a == 0 for a, b in zip(reversed(f1), reversed(f2)))
-
-
-def verify_layer_expansion(n: int) -> bool:
-    """Propagate the cokernel relation symbolically over the eight
-    generators (ring positions of layers 0 and 1) and confirm that
-    layer i carries exactly the circulant (a, b, c, b) of
-    (a, b, c) = coeffs(i) on layer 1 and minus that of coeffs(i-1) on
-    layer 0, for every 1 <= i <= n."""
-    _require_c4xcn_n(n)
-    # one term of e and of f at a time, not their tables
-    terms = zip(_walk(*_start("e"), n + 1), _walk(*_start("f"), n + 1))
-    unit = [[int(j == k) for k in range(8)] for j in range(8)]
-    prev, cur = unit[:4], unit[4:]  # layers 0 and 1
-    before = _circulant_block(0, *next(terms))
-    for i, (e, f) in enumerate(terms, start=1):
-        block = _circulant_block(i, e, f)
-        if cur != [[-x for x in p] + c for p, c in zip(before, block)]:
-            return False
-        prev, cur = cur, [
-            [4 * cur[j][k] - cur[(j + 1) % 4][k] - cur[(j - 1) % 4][k] - prev[j][k] for k in range(8)]
-            for j in range(4)
-        ]
-        before = block
-    return True
 
 
 # --- staged-reduction fixtures -------------------------------------------

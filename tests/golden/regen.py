@@ -13,7 +13,11 @@ argv, or appends one.  No other entry is rewritten.
 
 replays every entry through ``COMMAND... ARGV...`` as a subprocess in
 ``inputs/``, for example the installed console script (``--check
-critgraph``), and exits 1 naming each entry that differs.
+critgraph``), and exits 1 naming each entry that differs, with the exit
+status and the first line of the stderr of its replay.  Relative entries
+of ``PYTHONPATH`` are made absolute first, so ``PYTHONPATH=src python
+tests/golden/regen.py --check python -m critgraph.cli`` replays this
+checkout from its root.
 
 An entry keeps stdout in full up to ``STDOUT_INLINE_BYTES`` and its
 SHA-256 and length above that.  The elapsed time of ``verify`` is masked
@@ -81,13 +85,21 @@ def to_entry(argv: list[str], status: int, stdout: str, stderr: str) -> dict:
 
 
 def check(command: list[str]) -> int:
-    """Replay every entry through ``command`` as a subprocess; 1 if any differs."""
+    """Replay every entry through ``command`` as a subprocess; 1 if any differs.
+    Each differing entry is named with the replay's exit status and the first
+    line of its stderr."""
     entries = json.loads(CLI_JSON.read_text())
+    env = dict(os.environ)
+    if env.get("PYTHONPATH"):
+        # the replays run in INPUTS: a relative entry must still name this checkout's src
+        env["PYTHONPATH"] = os.pathsep.join(map(os.path.abspath, env["PYTHONPATH"].split(os.pathsep)))
     failed = 0
     for old in entries:
-        proc = subprocess.run([*command, *old["argv"]], cwd=INPUTS, capture_output=True)
-        if to_entry(old["argv"], proc.returncode, proc.stdout.decode(), proc.stderr.decode()) != old:
-            print("differs:", shlex.join(old["argv"]), file=sys.stderr)
+        proc = subprocess.run([*command, *old["argv"]], cwd=INPUTS, env=env, capture_output=True)
+        stderr = proc.stderr.decode()
+        if to_entry(old["argv"], proc.returncode, proc.stdout.decode(), stderr) != old:
+            first = (stderr.splitlines() or [""])[0]
+            print("differs:", shlex.join(old["argv"]), f"(exit {proc.returncode}: {first})", file=sys.stderr)
             failed += 1
     print(f"{len(entries) - failed} of {len(entries)} entries match", file=sys.stderr)
     return 1 if failed else 0

@@ -30,15 +30,6 @@ def _json_out(capsys):
     return json.loads(out), out
 
 
-def test_group_json(capsys):
-    assert run(["group", "5", "--json"]) == 0
-    payload, _ = _json_out(capsys)
-    assert payload["command"] == "group"
-    assert payload["n"] == "5"
-    assert payload["invariant_factors"] == ["19", "19", "779", "15580"]
-    assert payload["order"] == "4381392020"
-
-
 def test_group_methods_agree(capsys):
     outputs = []
     for method in ("closed", "relations", "snf"):
@@ -46,18 +37,6 @@ def test_group_methods_agree(capsys):
         payload, _ = _json_out(capsys)
         outputs.append((payload["invariant_factors"], payload["order"]))
     assert outputs[0] == outputs[1] == outputs[2]
-
-
-def test_group_text(capsys):
-    assert run(["group", "4"]) == 0
-    out = capsys.readouterr().out
-    assert "invariant factors: 2 2 8 24 24 24 96" in out
-    assert "order: 42467328" in out
-
-
-def test_group_rejects_small_n(capsys):
-    assert run(["group", "2"]) == 2
-    assert "error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -336,18 +315,6 @@ def test_subgroup_exit_codes(capsys):
     assert "yes" in capsys.readouterr().out
     assert run(["subgroup", "3", "4"]) == 1
     assert "no" in capsys.readouterr().out
-
-
-def test_snf_file(tmp_path, capsys):
-    path = tmp_path / "m.txt"
-    path.write_text("2 2\n4 0\n0 6\n")
-    assert run(["snf", "--matrix", str(path)]) == 0
-    assert "diagonal: 2 12" in capsys.readouterr().out
-
-
-def test_snf_missing_file(capsys):
-    assert run(["snf", "--matrix", "/nonexistent/m.txt"]) == 2
-    assert "error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
@@ -1165,3 +1132,16 @@ def test_cli_transcript(entry):
     if limit != golden.regen.DIGIT_LIMIT:
         pytest.skip(f"recorded at the digit limit {golden.regen.DIGIT_LIMIT}, this run has {limit}")
     assert golden.regen.record(entry["argv"]) == entry
+
+
+def test_transcript_check_replays_from_a_relative_path_and_names_the_cause(tmp_path, monkeypatch, capsys):
+    one = tmp_path / "cli.json"
+    one.write_text(json.dumps([next(e for e in _TRANSCRIPTS if e["argv"] == ["group", "4"])]))
+    monkeypatch.setattr(golden.regen, "CLI_JSON", one)
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    monkeypatch.setenv("PYTHONPATH", "src")
+    assert golden.regen.check([sys.executable, "-m", "critgraph.cli"]) == 0
+    assert capsys.readouterr().err == "1 of 1 entries match\n"
+    boom = "import sys; sys.stderr.write('boom\\nmore\\n'); sys.exit(3)"
+    assert golden.regen.check([sys.executable, "-c", boom]) == 1
+    assert capsys.readouterr().err == "differs: group 4 (exit 3: boom)\n0 of 1 entries match\n"

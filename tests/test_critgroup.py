@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-import tracemalloc
 
 import pytest
 
@@ -27,7 +26,6 @@ from critgraph.critgroup import (
     group_via_relations,
     relations_matrix,
     subgroup_check,
-    verify_layer_expansion,
     verify_reduction_pipeline,
 )
 from critgraph import critgroup, exactla, graph, treecount
@@ -40,8 +38,8 @@ from critgraph.exactla import (
     is_unimodular,
     snf,
 )
-from critgraph.graph import Multigraph, c4xcn, cycle, laplacian
-from critgraph.seq import parity_split
+from critgraph.graph import Multigraph, c4xcn, cycle, laplacian, sparse_laplacian
+from critgraph.seq import SeqKind, _start, _walk, derived_seq, parity_split
 from critgraph.treecount import tree_count_closed, tree_count_matrix
 import golden.regen
 
@@ -89,32 +87,6 @@ def test_coeffs_examples():
     assert coeffs(4) == (80, -50, 24)
     with pytest.raises(ValueError):
         coeffs(-1)
-
-
-def test_coeffs_recurrence_agreement():
-    # closed form vs the coupled recurrence, plus a + 2b + c = i; the
-    # closed form is evaluated incrementally so the whole grid is one pass
-    e_prev, e_cur = 1, 4  # e_1, e_2
-    f_prev, f_cur = 1, 6  # f_1, f_2
-    prev, cur = (0, 0, 0), (1, 0, 0)
-    for i in range(2, 2001):
-        assert (i + f_cur + 2 * e_cur) % 4 == 0 and (i - f_cur) % 4 == 0
-        closed = (
-            (i + f_cur + 2 * e_cur) // 4,
-            (i - f_cur) // 4,
-            (i + f_cur - 2 * e_cur) // 4,
-        )
-        recur = (
-            4 * cur[0] - 2 * cur[1] - prev[0],
-            4 * cur[1] - (cur[0] + cur[2]) - prev[1],
-            4 * cur[2] - 2 * cur[1] - prev[2],
-        )
-        assert closed == recur, i
-        assert closed[0] + 2 * closed[1] + closed[2] == i
-        prev, cur = cur, recur
-        e_prev, e_cur = e_cur, 4 * e_cur - e_prev
-        f_prev, f_cur = f_cur, 6 * f_cur - f_prev
-    assert coeffs(2000) == cur
 
 
 # -- relations matrix ------------------------------------------------------
@@ -404,39 +376,63 @@ def test_subgroup_on_divisor_pairs():
         assert factorwise_subgroup(groups[n1], groups[n2]) == (n2 % n1 == 0), (n1, n2)
 
 
-# -- layer expansion -------------------------------------------------------
+# -- layer lemma ------------------------------------------------------------
+#
+# The cokernel relation of layer i of C4 x Cn reads x_{i+1} = X x_i - x_{i-1},
+# X the diagonal block of the Laplacian, -I its neighbour blocks.  From
+# x_0 = [I | 0] and x_1 = [0 | I] on the eight generators, layer i is
+# [-U_{i-1}(X) | U_i(X)], with U_0 = 0, U_1 = I, U_{k+1} = X U_k - U_{k-1}.
+# On an eigenvector of X with eigenvalue P, U_i(X) is the scalar u_i of
+# the Lucas recurrence with that P.  The rotation eigenvectors below are a
+# basis, so a block that matches u_i on each of them is U_i(X).
 
-def test_layer_expansion():
-    assert verify_layer_expansion(7)
-    for n in range(3, 11):
-        assert verify_layer_expansion(n)
-    with pytest.raises(ValueError):
-        verify_layer_expansion(2)
-
-
-def test_layer_expansion_detects_a_wrong_circulant(monkeypatch):
-    real = critgroup._circulant_block
-
-    def off_by_one(i, e, f):
-        block = real(i, e, f)
-        if i == 3:
-            block[1][2] += 1
-        return block
-
-    monkeypatch.setattr(critgroup, "_circulant_block", off_by_one)
-    assert not verify_layer_expansion(5)
+_ROTATION_BASIS = ((1, 1, 1, 1), (1, 0, -1, 0), (0, 1, 0, -1), (1, -1, 1, -1))
 
 
-def test_layer_expansion_holds_no_table():
-    # the tables e_0..e_2000 and f_0..f_2000 together peak at 1.4 MB; the
-    # check reads each term once, so it holds a few terms of 5000 bits
-    tracemalloc.start()
-    try:
-        assert verify_layer_expansion(2000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 500_000
+def _assert_circulant_with_eigenvalues(block, eigenvalues):
+    sympy = pytest.importorskip("sympy")
+    assert all(block[r][k] == block[0][(k - r) % 4] for r in range(4) for k in range(4)), block
+    for v, lam in zip(_ROTATION_BASIS, eigenvalues):
+        image = sympy.Matrix(block) * sympy.Matrix(v) - lam * sympy.Matrix(v)
+        assert image.expand() == sympy.zeros(4, 1), (v, lam, block)
+
+
+def test_layer_lemma_for_every_i(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    # 1. the layer blocks of the Laplacian: X = 4I - R - R^-1 on the diagonal,
+    # -I for the two neighbour layers (n = 5 keeps them apart), 0 elsewhere
+    lap = sparse_laplacian(c4xcn(5)).to_dense().to_lists()
+    eye = sympy.eye(4)
+    rotation = sympy.Matrix(4, 4, lambda r, k: int(k == (r + 1) % 4))
+    x = 4 * eye - rotation - rotation.T
+    for p, q in itertools.product(range(5), repeat=2):
+        block = sympy.Matrix([row[4 * q:4 * q + 4] for row in lap[4 * p:4 * p + 4]])
+        assert block == (x if p == q else -eye if (q - p) % 5 in (1, 4) else 0 * eye), (p, q)
+
+    # 2. X has the eigenvalues 2, 4, 4, 6 on the rotation basis; at P = 2 the
+    # recurrence from 0, 1 gives i, and e and f are its P = 4 and 6 from 0, 1
+    assert sympy.Matrix(_ROTATION_BASIS).det() != 0
+    _assert_circulant_with_eigenvalues(x.tolist(), (2, 4, 4, 6))
+    i, e, f = sympy.symbols("i e f")
+    assert sympy.expand(2 * i - (i - 1)) == i + 1
+    assert [(m + 2, x0, x1) for m, x0, x1 in map(_start, "ef")] == [(4, 0, 1), (6, 0, 1)]
+
+    # 3. the block for symbolic i, e_i, f_i, with the divisions rational
+    with monkeypatch.context() as patch:
+        patch.setattr(critgroup, "_exact_div", lambda num, den: num / den)
+        block = critgroup._circulant_block(i, e, f)
+    _assert_circulant_with_eigenvalues(block, (i, e, e, f))
+
+    # 4. the divisions by 4 read (i, e_i, f_i) mod 4.  The state (i, e_i,
+    # e_{i+1}, f_i, f_{i+1}) mod 4 fixes the next one and repeats at i = 4,
+    # so i = 0..3 through the real _exact_div covers every i.  The real
+    # blocks for i = 0..7 also meet steps 2-3.
+    es, fs = (list(_walk(*_start(kind), 6, 4)) for kind in "ef")
+    states = [(k % 4, es[k], es[k + 1], fs[k], fs[k + 1]) for k in range(5)]
+    assert states[4] == states[0]
+    for k in range(8):
+        e_k, f_k = derived_seq(SeqKind.E, k), derived_seq(SeqKind.F, k)
+        _assert_circulant_with_eigenvalues(critgroup._circulant_block(k, e_k, f_k), (k, e_k, e_k, f_k))
 
 
 # -- staged reduction fixtures and pipeline --------------------------------
