@@ -334,12 +334,6 @@ def test_closed_form_group_takes_the_chain_as_it_is(monkeypatch):
         assert closed_form_group(n).invariant_factors == factors, n
 
 
-def test_three_way_agreement_small():
-    for n in range(3, 13):
-        a = closed_form_group(n)
-        assert a == group_via_relations(n) == group_of_graph(c4xcn(n)), n
-
-
 # -- subgroup criterion ----------------------------------------------------
 
 def test_subgroup_examples():
@@ -533,11 +527,6 @@ def test_pipeline_reports():
     assert even.failures() == []
     with pytest.raises(ValueError):
         verify_reduction_pipeline(1)
-
-
-def test_pipeline_small_sweep():
-    for n in range(3, 13):
-        assert verify_reduction_pipeline(n).all_passed, n
 
 
 def test_rank_one_split_matches_snf():

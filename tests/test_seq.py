@@ -105,14 +105,6 @@ def test_composition_identity():
                 assert us[p * q] == vs[p * (q - 1)] * us[p] + us[p * (q - 2)]
 
 
-def test_doubling_identity():
-    for m in (2, 4):
-        us = u_prefix(m, 101)
-        vs = v_prefix(m, 201)
-        for p in range(101):
-            assert vs[2 * p] == m * (m + 4) * us[p] ** 2 + 2
-
-
 def test_strict_growth():
     for m in range(1, 7):
         us = u_prefix(m, 52)

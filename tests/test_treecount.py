@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from critgraph.critgroup import closed_form_group
 from critgraph.graph import Multigraph, c4xcn, cycle
 from critgraph.seq import SeqKind, observed_valuation, predicted_valuation
 from critgraph.treecount import (
@@ -46,16 +45,6 @@ def test_matrix_tree_zero_on_disconnected_random_multigraphs(random_multigraph):
                       for (u, v), m in b.edge_multiplicities.items()})
         assert tree_count_matrix(Multigraph(vertices, edges)) == 0, trial
     assert tree_count_matrix(Multigraph(1)) == 1
-
-
-def test_closed_matches_matrix_tree():
-    for n in range(3, 13):
-        assert tree_count_closed(n) == tree_count_matrix(c4xcn(n)), n
-
-
-def test_closed_matches_group_order():
-    for n in range(3, 51):
-        assert tree_count_closed(n) == closed_form_group(n).order, n
 
 
 def test_count_divisible_by_4n():
