@@ -25,6 +25,8 @@ even-cycle Smith-normal-form case analysis effective.
 
 from __future__ import annotations
 
+import itertools
+import math
 import operator
 from enum import Enum
 from typing import Iterator, Optional
@@ -228,15 +230,41 @@ def predicted_valuation(kind: SeqKind, prime: int, n: int) -> int:
     prime, n = _valuation_prime(kind, prime), operator.index(n)
     if n < 1:
         raise ValueError(f"index must be >= 1, got {_clip(n)}")
-    return _valuation_rule(kind, prime, n)
-
-
-def _valuation_rule(kind: SeqKind, prime: int, n: int) -> int:
-    """The rule of :func:`predicted_valuation`; the arguments are not checked."""
     t = _exponent(n, prime)
-    if (kind is SeqKind.E) == (prime == 2):
+    if _valuation_by_parity(kind, prime):
         return 0 if n % 2 else t + 1
     return t
+
+
+def _valuation_by_parity(kind: SeqKind, prime: int) -> bool:
+    """Whether the rule is "0 for odd n, t + 1 for even n" (E at 2, F at 3)
+    rather than "t"."""
+    return (kind is SeqKind.E) == (prime == 2)
+
+
+# The n that first_valuation_mismatch decides at once: their residues and
+# their predicted powers are each held in lists this long.
+_WINDOW = 4096
+
+
+def _predicted_powers(prime: int, by_parity: bool, lo: int, count: int) -> tuple[list[int], list[int]]:
+    """The lists of P = prime**k(n) and of prime * P for n = lo .. lo+count-1,
+    k(n) the valuation rule, by slice-assigned sieves: with q = prime**t
+    running up, every multiple of q (of lcm(2, q) under the parity rule,
+    which adds one factor) gets P = q (q * prime), so each n keeps the P of
+    its largest t."""
+    powers, higher = [1] * count, [prime] * count
+    q = 1 if by_parity else prime
+    hi = lo + count - 1
+    while True:
+        step, power = (math.lcm(2, q), q * prime) if by_parity else (q, q)
+        if step > hi:
+            return powers, higher
+        start = -lo % step
+        size = len(range(start, count, step))
+        powers[start::step] = [power] * size
+        higher[start::step] = [power * prime] * size
+        q *= prime
 
 
 def first_valuation_mismatch(kind: SeqKind, prime: int, upto: int) -> Optional[tuple[int, int, int]]:
@@ -244,15 +272,24 @@ def first_valuation_mismatch(kind: SeqKind, prime: int, upto: int) -> Optional[t
     ``prime`` in e_n (kind E) or f_n (kind F) is not :func:`predicted_valuation`,
     or None.  One walk of the residues modulo prime**(upto.bit_length() + 1)
     decides each n: p**t | n <= upto gives t < upto.bit_length(), and k <= t + 1,
-    so p**(k+1) divides the modulus.  Only a mismatch takes the whole term.
+    so p**(k+1) divides the modulus.  The walk is taken ``_WINDOW`` terms at a
+    time, and a window passes when gcd(residue, prime * P) = P for each of its
+    predicted powers P = prime**k, a test made by ``map`` with no Python step
+    per n.  Only a failing window is scanned term by term, and only a mismatch
+    takes the whole term.
     """
     prime = _valuation_prime(kind, prime)
     _check_index(operator.index(upto))
+    by_parity = _valuation_by_parity(kind, prime)
     modulus = prime**(upto.bit_length() + 1)
     residues = _walk(*_start(kind.value), upto + 1, modulus)
     next(residues)  # n = 0: the term is 0, of no finite valuation
-    for n, residue in enumerate(residues, start=1):
-        k = _valuation_rule(kind, prime, n)
-        if residue % prime**k or not residue % prime**(k + 1):
-            return n, k, observed_valuation(u_seq(kind.m, n), prime)
+    for lo in range(1, upto + 1, _WINDOW):
+        window = list(itertools.islice(residues, _WINDOW))
+        powers, higher = _predicted_powers(prime, by_parity, lo, len(window))
+        found = list(map(math.gcd, window, higher))
+        if found == powers:
+            continue
+        i = next(i for i, (got, power) in enumerate(zip(found, powers)) if got != power)
+        return lo + i, _exponent(powers[i], prime), observed_valuation(u_seq(kind.m, lo + i), prime)
     return None

@@ -105,12 +105,6 @@ def test_treecount_computes_closed_form_once(capsys, monkeypatch):
     assert [c["pass"] for c in payload["checks"]] == [True, True]
 
 
-def test_seq_table(capsys):
-    assert run(["seq", "e", "--upto", "6"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines == ["0 0", "1 1", "2 4", "3 15", "4 56", "5 209", "6 780"]
-
-
 def test_seq_u_requires_m(capsys):
     assert run(["seq", "u", "--upto", "4"]) == 2
     capsys.readouterr()
@@ -119,13 +113,6 @@ def test_seq_u_requires_m(capsys):
     assert payload["values"] == ["0", "1", "6", "35", "204"]
     assert run(["seq", "e", "--upto", "4", "--m", "2"]) == 2
     capsys.readouterr()
-
-
-def test_valuations(capsys):
-    assert run(["valuations", "--upto", "60", "--json"]) == 0
-    payload, _ = _json_out(capsys)
-    assert len(payload["checks"]) == 4
-    assert all(c["pass"] for c in payload["checks"])
 
 
 def _scale_terms(monkeypatch, changes):
@@ -858,14 +845,15 @@ def test_trig_check_prints_the_library_default_tolerance(capsys):
 
 
 def test_valuations_holds_only_the_current_terms(capsys):
-    # two 20001-term tables of e and f held about 120 MB at this size
+    # two 20001-term tables of e and f held about 120 MB at this size, and a
+    # list of every residue of one family 1.1 MB; the windowed walk 0.6 MB
     tracemalloc.start()
     try:
         assert run(["valuations", "--upto", "20000"]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5_000_000, peak
+    assert peak < 1_000_000, peak
     assert capsys.readouterr().out.splitlines() == [
         f"{label}: ok (n=2..20000 all match)" for label in ("T2(e)", "T2(f)", "T3(e)", "T3(f)")
     ]

@@ -192,9 +192,13 @@ def _brute_first_mismatch(kind, prime, terms):
 @pytest.mark.parametrize("kind, prime", _FAMILIES)
 def test_first_valuation_mismatch_equals_the_brute_force(monkeypatch, kind, prime):
     real_walk, real_u_seq = seq._walk, seq.u_seq
-    # two more factors of ``prime`` in the term at n = 18, and one more at the tight n = upto
+    # two more factors of ``prime`` in the term at n = 18, one more at the tight
+    # n = upto, and one more on either side of the first window's end and in
+    # the last, part-filled window of an upto that is not a multiple of it
     tight = [2**j for j in range(1, 12)] + [2 * 3**j for j in range(7)]
-    for at, upto, factor in [(18, 40, prime**2)] + [(n, n, prime) for n in tight]:
+    w = seq._WINDOW
+    edges = [(at, 2 * w + 7, prime) for at in (w - 1, w, w + 1, 2 * w + 6)]
+    for at, upto, factor in [(18, 40, prime**2)] + [(n, n, prime) for n in tight] + edges:
         terms = u_prefix(kind.m, upto + 1)
         terms[at] *= factor
         expected = _brute_first_mismatch(kind, prime, terms)
