@@ -343,6 +343,19 @@ def _non_unimodular_fixtures() -> tuple[str, ...]:
     return tuple(name for name, mat in _FIXTURES.items() if not is_unimodular(mat))
 
 
+@functools.cache
+def _u_square(i: int) -> IntegerMatrix:
+    """``_U ** 2**i``, built by one product from the square before it and
+    kept for the process, as the fixture check is."""
+    return _u_square(i - 1) @ _u_square(i - 1) if i else _U
+
+
+def _u_power(k: int) -> IntegerMatrix:
+    """``_U ** k`` for k >= 1: the product of the squares that the bits
+    of k pick."""
+    return functools.reduce(operator.matmul, (_u_square(i) for i in range(k.bit_length()) if k >> i & 1))
+
+
 def _seven_template(n: int) -> IntegerMatrix:
     """The 7x7 matrix that the first stage lands on, written in the
      'folded' sequences p_i = e_i + e_{n-i} and q_i = f_i + f_{n-i}."""
@@ -474,7 +487,7 @@ def verify_reduction_pipeline(n: int) -> PipelineReport:
     m2 = stage("seven-term-template", _L1 @ m_minus_i.delete_row_col(0, 0) @ _R1,
                _seven_template(n), "folded-sequence template")
     s, x, y = parity_split(n)
-    shifted = (_U ** (s + 1)) @ m2
+    shifted = _u_power(s + 1) @ m2
     if n % 2:
         final = stage("odd-block-split", _L2 @ shifted @ _R2,
                       _odd_split_template(n, x, y), "3+4 block-diagonal template")

@@ -5,7 +5,9 @@ unimodular row/column operations (swaps, negations, integer-multiple
 additions, and extended-gcd 2x2 combinations, each a product of the
 elementary operations).  The dense engine writes both kinds through one
 routine, :func:`_clear_column`, which clears a column by row operations:
-a column operation is a row operation on the transpose.  The engine is
+a column operation is a row operation on the transpose.  Without
+transforms, a pivot row whose entries the pivot divides is zeroed in
+place instead, as the column below the pivot is zero.  The engine is
 cross-checkable against :func:`invariant_factors_from_divisors`, a
 brute-force oracle that computes determinantal divisors by enumerating
 all k x k minors.  The oracle is combinatorially expensive and is capped
@@ -19,7 +21,9 @@ holds (row length, row) items: a row's length changes only when an
 update touches it, so each touched row is pushed once, and a popped item
 whose length is out of date is dropped.  The pre-pass reads a
 :class:`SparseMatrix`, dict rows of the nonzero entries; both entry
-points take one as it is and convert an ``IntegerMatrix`` once.  Graph
+points take one as it is and convert an ``IntegerMatrix`` once (``snf``
+sends an ``IntegerMatrix`` with no +-1 entry to the dense engine whole,
+since the pre-pass would take no pivot from it).  Graph
 Laplacians, built sparse from their edges (``graph.sparse_laplacian``),
 mostly eliminate this way (C4 x Cn down to an 8 x 8 core), and only the
 core goes to the dense engine or to the Bareiss fraction-free
@@ -100,9 +104,10 @@ class IntegerMatrix:
                 f"{other.row_count}x{other.col_count}"
             )
         bt = list(zip(*other._rows))
-        return IntegerMatrix(
-            [[sum(map(operator.mul, row, col)) for col in bt] for row in self._rows]
-        )
+        # products and sums of checked ints need no operator.index pass
+        product = IntegerMatrix.__new__(IntegerMatrix)
+        product._rows = [[sum(map(operator.mul, row, col)) for col in bt] for row in self._rows]
+        return product
 
     def __pow__(self, exponent: int) -> "IntegerMatrix":
         if not self.is_square:
@@ -241,20 +246,22 @@ def _clear_column(m: list[list[int]], t: int, c: int, rows: int) -> None:
     entry ``m[t][c]`` is the pivot: subtract a multiple of row t when the
     pivot divides the entry, else apply the extended-gcd 2x2 combination
     of the two rows, which makes the pivot their gcd."""
+    mt = m[t]
+    pivot = mt[c]
     for i in range(t + 1, rows):
-        v = m[i][c]
+        mi = m[i]
+        v = mi[c]
         if not v:
             continue
-        pivot = m[t][c]
-        mt, mi = m[t], m[i]
-        if v % pivot == 0:
-            f = v // pivot
+        f, r = divmod(v, pivot)
+        if not r:
             m[i] = [y - f * x for x, y in zip(mt, mi)]
         else:
             g, aa, bb = _ext_gcd(pivot, v)
             cc, dd = v // g, -(pivot // g)
-            m[t] = [aa * x + bb * y for x, y in zip(mt, mi)]
             m[i] = [cc * x + dd * y for x, y in zip(mt, mi)]
+            m[t] = mt = [aa * x + bb * y for x, y in zip(mt, mi)]
+            pivot = g
 
 
 def _dense_snf(m: list[list[int]], want_transforms: bool) -> SnfResult:
@@ -267,12 +274,15 @@ def _dense_snf(m: list[list[int]], want_transforms: bool) -> SnfResult:
     routine, as the pivot column of the transpose of rows t on (a column
     operation is a row operation on the transpose, as in Kannan & Bachem,
     SIAM J. Comput. 1979); rows above t are zero from column t on, so
-    column operations leave them as they are.  Non-divisible entries are
-    handled with an extended-gcd 2x2 block combination (the pivot becomes
-    the gcd in one step), which keeps intermediate entries from the
-    explosive growth that a naive swap-and-reduce cascade produces.  Once
-    the cross is clear, the pivot is forced to divide the remaining
-    submatrix by the usual add-a-row fix-up.  Diagonal entries come out
+    column operations leave them as they are.  Without transforms, a
+    pivot row whose entries the pivot divides is zeroed in place: the
+    column below the pivot is zero, so those column operations change no
+    other row.  Non-divisible entries are handled with an extended-gcd
+    2x2 block combination (the pivot becomes the gcd in one step), which
+    keeps intermediate entries from the explosive growth that a naive
+    swap-and-reduce cascade produces.  Once the cross is clear, the pivot
+    is forced to divide the remaining submatrix by the usual add-a-row
+    fix-up, whose scan a +-1 pivot skips.  Diagonal entries come out
     nonnegative, with zeros (rank deficiency) at the tail.
 
     With transforms, the loop runs on the bordered matrix
@@ -305,18 +315,29 @@ def _dense_snf(m: list[list[int]], want_transforms: bool) -> SnfResult:
             # column the row: the cross is clear when the row is clear
             # after the column
             _clear_column(m, t, t, nr)
-            if any(m[t][t + 1 : nc]):
-                cols = list(map(list, zip(*m[t:])))
-                _clear_column(cols, t, 0, nc)
-                m[t:] = map(list, zip(*cols))
-                continue
+            row = m[t]
+            pivot = row[t]
+            unit = pivot in (1, -1)
+            rest = row[t + 1 : nc]
+            if any(rest):
+                if want_transforms or not unit and any(map(pivot.__rmod__, rest)):
+                    cols = list(map(list, zip(*m[t:])))
+                    _clear_column(cols, t, 0, nc)
+                    m[t:] = map(list, zip(*cols))
+                    continue
+                # the column below the pivot is zero, so subtracting
+                # multiples of it changes no other row
+                row[t + 1 : nc] = [0] * len(rest)
+            if unit:
+                break
             # Pivot must divide every remaining entry; if not, pull the
             # offending row up and keep reducing (this shrinks the pivot).
-            pivot = m[t][t]
-            offender = next((row for row in m[t + 1 : nr] for x in row[t + 1 : nc] if x % pivot), None)
+            offender = next(
+                (r for r in m[t + 1 : nr] if any(map(pivot.__rmod__, r[t + 1 : nc]))), None
+            )
             if offender is None:
                 break
-            m[t] = [x + y for x, y in zip(m[t], offender)]
+            m[t] = [x + y for x, y in zip(row, offender)]
 
         if m[t][t] < 0:
             m[t] = [-x for x in m[t]]
@@ -471,7 +492,8 @@ def snf(a: IntegerMatrix | SparseMatrix, want_transforms: bool = False) -> SnfRe
     dense engine then runs on the core that is left only: the diagonal is
     the units, then the core's diagonal (zeros, for rank deficiency, at
     the tail).  A matrix with no +-1 entry, such as the 8 x 8 relations
-    matrix for n >= 4, goes to the dense engine whole.  With transforms,
+    matrix for n >= 4, goes to the dense engine whole, where a pivot row
+    that the pivot divides is zeroed in place.  With transforms,
     the dense engine runs on the whole matrix, and ``left_transform @ a @
     right_transform`` is the diagonal; that path is also the oracle the
     pre-pass is tested against.
@@ -485,6 +507,8 @@ def snf(a: IntegerMatrix | SparseMatrix, want_transforms: bool = False) -> SnfRe
         if isinstance(a, SparseMatrix):
             a = a.to_dense()
         return _dense_snf(a.to_lists(), True)
+    if isinstance(a, IntegerMatrix) and not any(1 in row or -1 in row for row in a._rows):
+        return _dense_snf(a.to_lists(), False)
     units, _, core, peak = _eliminate_units(_sparse(a))
     diagonal = (1,) * units
     if core and core[0]:

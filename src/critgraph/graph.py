@@ -87,7 +87,10 @@ def cartesian_product(g1: Multigraph, g2: Multigraph) -> Multigraph:
     edges.update({
         (u + v1 * n1, u + v2 * n1): mult for u in range(n1) for (v1, v2), mult in g2._edges.items()
     })
-    return Multigraph(n1 * n2, edges)
+    # the edges come from two checked factors, so Multigraph's checks are not re-run
+    product = Multigraph(n1 * n2)
+    product._edges = edges
+    return product
 
 
 def _require_c4xcn_n(n: int) -> None:

@@ -29,6 +29,7 @@ from critgraph.critgroup import (
     verify_reduction_pipeline,
 )
 from critgraph import critgroup, exactla, graph, treecount
+from critgraph.cli import MAX_GRAPH_VERTICES
 from critgraph.exactla import (
     IntegerMatrix,
     SparseMatrix,
@@ -557,6 +558,30 @@ def test_pipeline_runs_one_snf_and_checks_fixtures_once(monkeypatch):
     finally:
         critgroup._non_unimodular_fixtures.cache_clear()
     assert calls["is_unimodular"] <= 9
+
+
+def test_u_power_takes_its_squares_from_a_tower_built_once():
+    def bits(a):
+        return max(abs(x).bit_length() for row in a.to_lists() for x in row)
+
+    try:
+        for k in range(1, 301):
+            critgroup._u_square.cache_clear()
+            power = critgroup._u_power(k)
+            assert power == _U ** k, k
+            # one square per bit of k, each built once and no larger than U^k
+            info = critgroup._u_square.cache_info()
+            assert (info.currsize, info.misses) == (k.bit_length(), k.bit_length()), k
+            assert all(bits(critgroup._u_square(i)) <= bits(power) for i in range(k.bit_length())), k
+        # verify --pipeline stops at n = MAX_GRAPH_VERTICES // 4, k = s + 1
+        critgroup._u_square.cache_clear()
+        top = parity_split(MAX_GRAPH_VERTICES // 4)[0] + 1
+        critgroup._u_power(top)
+        tower = [critgroup._u_square(i) for i in range(critgroup._u_square.cache_info().currsize)]
+        assert len(tower) == top.bit_length()
+        assert max(map(bits, tower)) < 170
+    finally:
+        critgroup._u_square.cache_clear()
 
 
 def test_pipeline_records_a_wrong_stage_one_multiplier(monkeypatch):

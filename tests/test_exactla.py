@@ -1,9 +1,12 @@
 import heapq
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 
+from critgraph import exactla
 from critgraph.critgroup import relations_matrix
 from critgraph.exactla import (
     IntegerMatrix,
@@ -258,6 +261,70 @@ def test_snf_prepass_matches_divisor_oracle():
     for trial in range(10):
         a = _unit_heavy_matrix(rng, 8, 8)
         assert snf(a).diagonal == invariant_factors_from_divisors(a), a
+
+
+def _dense_branch_counter():
+    """A line tracer for the dense engine, and the counts it fills: rows
+    zeroed in place, rows cleared on the transpose, unit pivots that skip
+    the divisibility scan, scans run, and engine and pre-pass calls."""
+    lines, first = inspect.getsourcelines(exactla._dense_snf)
+
+    def line_of(text, after=0):
+        return first + after + next(k for k, line in enumerate(lines) if text in line)
+
+    marks = {
+        line_of("row[t + 1 : nc] = [0]"): "zeroed",
+        line_of("zip(*m[t:])"): "transposed",
+        line_of("if unit", after=1): "unit",
+        line_of("offender = next("): "scanned",
+    }
+    calls = {exactla._dense_snf.__code__: "engine", exactla._eliminate_units.__code__: "pre-pass"}
+    counts = dict.fromkeys([*marks.values(), *calls.values()], 0)
+
+    def on_line(frame, event, arg):
+        if event == "line" and frame.f_lineno in marks:
+            counts[marks[frame.f_lineno]] += 1
+            # a fix-up that never shrinks the pivot would loop forever
+            if counts["scanned"] > 100_000:
+                raise AssertionError("the divisibility fix-up does not terminate")
+        return on_line
+
+    def tracer(frame, event, arg):
+        name = calls.get(frame.f_code)
+        if name:
+            counts[name] += 1
+        return on_line if name == "engine" else None
+
+    return tracer, counts
+
+
+def test_dense_snf_branches_match_the_transform_oracle():
+    # no entry is +-1, so snf sends each matrix to the dense engine whole;
+    # a multiple of the least entry often divides the pivot row, a gcd step
+    # can make a unit pivot, and a non-dividing pivot needs the fix-up
+    rng = random.Random(2007)
+    matrices = [relations_matrix(n) for n in range(4, 13)]
+    for trial in range(300):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        k = rng.choice((1, 2, 3, 6))
+        entries = [k * rng.randint(-20, 20) for _ in range(rows * cols)]
+        entries = [2 * x if x in (1, -1) else x for x in entries]
+        matrices.append(IntegerMatrix([entries[i * cols : (i + 1) * cols] for i in range(rows)]))
+    tracer, counts = _dense_branch_counter()
+    previous = sys.gettrace()
+    for a in matrices:
+        sys.settrace(tracer)
+        try:
+            res = snf(a)
+        finally:
+            sys.settrace(previous)
+        oracle = snf(a, want_transforms=True)
+        assert (res.diagonal, res.peak_bit_length) == (oracle.diagonal, oracle.peak_bit_length), a
+        # both share the fix-up, so the chain is checked on its own
+        d = res.diagonal
+        assert all(y % x == 0 if x else y == 0 for x, y in zip(d, d[1:])), a
+    assert counts["engine"] == len(matrices) and counts["pre-pass"] == 0, counts
+    assert all(counts[name] >= 1 for name in ("zeroed", "transposed", "unit", "scanned")), counts
 
 
 def test_det_matches_bareiss():

@@ -25,11 +25,9 @@ _ROUTES = {
     "matrix-count": lambda: tree_count_matrix(c4xcn(40)),
 }
 
-_SNF_ENGINE = {
-    "exactla.SnfResult.__init__", "exactla.SparseMatrix.__init__",
-    "exactla.SparseMatrix.row_count", "exactla._clear_column", "exactla._dense_snf",
-    "exactla._eliminate_units", "exactla._ext_gcd", "exactla._min_abs_pivot",
-    "exactla._permutation_sign", "exactla._sparse", "exactla.snf",
+_DENSE_ENGINE = {
+    "exactla.SnfResult.__init__", "exactla._clear_column", "exactla._dense_snf",
+    "exactla._ext_gcd", "exactla._min_abs_pivot", "exactla.snf",
 }
 _C4XCN = {
     "graph.Multigraph.__init__", "graph.Multigraph.vertex_count", "graph._edge_key",
@@ -52,10 +50,10 @@ _SHARED = {
     },
     ("closed-group", "matrix-count"): _N_CHECK,
     ("relations-group", "laplacian-group"):
-        _GROUP | _N_CHECK | _SNF_ENGINE | {"critgroup._group_from_snf_diag"},
+        _GROUP | _N_CHECK | _DENSE_ENGINE | {"critgroup._group_from_snf_diag"},
     ("relations-group", "closed-count"): _N_CHECK | {"seq._u_pair"},
     ("relations-group", "matrix-count"):
-        _N_CHECK | _PRE_PASS | {"exactla.IntegerMatrix.__init__", "exactla.IntegerMatrix.col_count"},
+        _N_CHECK | {"exactla.IntegerMatrix.__init__", "exactla.IntegerMatrix.to_lists"},
     ("laplacian-group", "closed-count"): _N_CHECK,
     ("laplacian-group", "matrix-count"): _N_CHECK | _PRE_PASS | _C4XCN | {"graph.sparse_laplacian"},
     ("closed-count", "matrix-count"): _N_CHECK,
