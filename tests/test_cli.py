@@ -690,22 +690,6 @@ def test_closed_form_routes_reject_n_over_cap(capsys, monkeypatch):
                 run([a.format(MAX_CLOSED_FORM_N) for a in argv] + json_flag)
 
 
-def test_verify_sweep(capsys):
-    assert run(["verify", "--range", "3..6"]) == 0
-    captured = capsys.readouterr()
-    lines = captured.out.strip().splitlines()
-    assert [line.split()[0] for line in lines] == ["n=3", "n=4", "n=5", "n=6"]
-    assert all(" ok " in line for line in lines)
-    assert "verified 3..6: 4/4 ok" in captured.err
-
-
-def test_verify_pipeline_flag(capsys):
-    assert run(["verify", "--range", "3..4", "--pipeline", "--json"]) == 0
-    payload, _ = _json_out(capsys)
-    assert all(c["pass"] for c in payload["checks"])
-    assert "pipeline" in payload["checks"][0]["detail"]
-
-
 def test_verify_parallelism_identical_output(capsys):
     assert run(["verify", "--range", "3..8"]) == 0
     serial = capsys.readouterr().out
@@ -763,12 +747,6 @@ def test_verify_parallelism_is_clamped_to_cpus_and_range(capsys, monkeypatch):
     assert sizes == []
 
 
-def test_verify_bad_ranges(capsys):
-    for bad in ("5", "8..3", "2..5", "a..b"):
-        assert run(["verify", "--range", bad]) == 2
-        capsys.readouterr()
-
-
 def test_verify_reports_failed_pipeline_stages(capsys, monkeypatch):
     monkeypatch.setattr(critgroup, "_R1", critgroup.IntegerMatrix.identity(7))
     assert run(["verify", "--range", "5..5", "--pipeline"]) == 1
@@ -786,19 +764,6 @@ def test_verify_reports_a_three_way_disagreement(capsys, monkeypatch):
         "n=5 FAIL (disagreement: closed (19, 19, 779, 15580), relations (2,), "
         "laplacian (19, 19, 779, 15580))\n"
     )
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["seq", "e", "--upto", "-1"], "--upto must be >= 0, got -1"),
-    (["valuations", "--upto", "1"], "--upto must be >= 2, got 1"),
-    (["subgroup", "2", "6"], "C4 x Cn needs n >= 3, got 2"),
-    (["verify", "--range", "3..4", "--parallelism", "-1"], "--parallelism must be >= 0, got -1"),
-])
-def test_out_of_range_arguments_exit_two(capsys, argv, message):
-    assert run(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"critgraph: error: {message}\n"
 
 
 _NEGATIVE = "-" + _at_digit_limit()
@@ -875,11 +840,6 @@ def test_argparse_errors_echo_clipped_tokens(capsys, argv, echoed):
     assert err.splitlines()[-1].startswith("critgraph: error: ")
     assert echoed in err
     assert len(err) < 400
-
-
-def test_unknown_flag_exits_two(capsys):
-    assert run(["group", "5", "--bogus"]) == 2
-    capsys.readouterr()
 
 
 def test_help_exits_zero(capsys):

@@ -1,11 +1,11 @@
 """What the five routes of C4 x Cn share.
 
 The three group routes (closed form, 8x8 relations matrix, full Laplacian)
-and the two tree counts (closed form, Matrix-Tree determinant) agree for
-every n, and their agreement is evidence only as far as they share no
-code.  Each route runs at n = 40 under a profile hook that collects the
-package functions it calls, and every pairwise intersection is compared
-with the table below.  A change to what the routes share edits the table.
+and the two tree counts (closed form, Matrix-Tree determinant) agree on
+every n checked, and their agreement is evidence only as far as they
+share no code.  Each route runs at n = 40 under a profile hook that
+collects the package functions it calls, and every pairwise intersection
+is compared with the table below.  A change to what the routes share edits the table.
 """
 
 import inspect
